@@ -122,26 +122,19 @@ int main(int argc, char** argv) {
       opts.max_iterations = 4096;
       opts.portfolio_size = args.portfolio;
       opts.preprocess = args.preprocess;
-      opts.cube_depth = static_cast<std::uint32_t>(args.cube);
-      opts.incremental = args.incremental;
       apply_resilience(args, &opts.resilience, &opts.deadline_ms);
       c.r = sat_attack(c.lc, oracle.get(), opts);
     });
-    std::uint64_t part1_cubes = 0, part1_refuted = 0;
     std::uint64_t part1_rounds = 0, part1_carried = 0, part1_reused = 0;
     for (const auto& c : cases) {
-      part1_cubes += c.r.cubes;
-      part1_refuted += c.r.cubes_refuted;
       part1_rounds += c.r.incremental_rounds;
       part1_carried += c.r.clauses_carried;
       part1_reused += c.r.encode_reused;
     }
-    // Deterministic counters only (no cube wall time): the results object
-    // must stay byte-identical across thread counts. The incremental
-    // counters qualify at the default portfolio of 1 (one solver per
-    // attack, fixed solve sequence); wall times never do.
-    report.add("golden_cubes", static_cast<std::size_t>(part1_cubes));
-    report.add("golden_cubes_refuted", static_cast<std::size_t>(part1_refuted));
+    // Deterministic counters only: the results object must stay
+    // byte-identical across thread counts. The incremental counters
+    // qualify at the default portfolio of 1 (one solver per attack, fixed
+    // solve sequence); wall times never do.
     report.add("golden_incremental_rounds",
                static_cast<std::size_t>(part1_rounds));
     report.add("golden_clauses_carried",
@@ -255,7 +248,6 @@ int main(int argc, char** argv) {
     // device model), but the golden and OraP groups are independent.
     using Row = std::vector<std::string>;
     std::vector<Row> group_rows[2];
-    std::uint64_t group_cubes[2] = {0, 0};
     std::uint64_t group_rounds[2] = {0, 0};
     std::uint64_t group_carried[2] = {0, 0};
     auto run_against = [&](std::size_t group, const char* oracle_name,
@@ -265,18 +257,13 @@ int main(int argc, char** argv) {
       SatAttackOptions sat_opts;
       sat_opts.portfolio_size = args.portfolio;
       sat_opts.preprocess = args.preprocess;
-      sat_opts.cube_depth = static_cast<std::uint32_t>(args.cube);
-      sat_opts.incremental = args.incremental;
       apply_resilience(args, &sat_opts.resilience, &sat_opts.deadline_ms);
       AppSatOptions app_opts;
       app_opts.portfolio_size = args.portfolio;
       app_opts.preprocess = args.preprocess;
-      app_opts.cube_depth = static_cast<std::uint32_t>(args.cube);
-      app_opts.incremental = args.incremental;
       apply_resilience(args, &app_opts.resilience, &app_opts.deadline_ms);
       {
         const SatAttackResult r = sat_attack(view, oracle, sat_opts);
-        group_cubes[group] += r.cubes;
         group_rounds[group] += r.incremental_rounds;
         group_carried[group] += r.clauses_carried;
         rows.push_back({"SAT", oracle_name, std::to_string(r.oracle_queries),
@@ -284,7 +271,6 @@ int main(int argc, char** argv) {
       }
       {
         const SatAttackResult r = appsat_attack(view, oracle, app_opts);
-        group_cubes[group] += r.cubes;
         group_rounds[group] += r.incremental_rounds;
         group_carried[group] += r.clauses_carried;
         rows.push_back({"AppSAT", oracle_name,
@@ -293,7 +279,6 @@ int main(int argc, char** argv) {
       }
       {
         const SatAttackResult r = double_dip_attack(view, oracle, sat_opts);
-        group_cubes[group] += r.cubes;
         group_rounds[group] += r.incremental_rounds;
         group_carried[group] += r.clauses_carried;
         rows.push_back({"Double-DIP", oracle_name,
@@ -347,10 +332,8 @@ int main(int argc, char** argv) {
         t.add_row(row);
         report.add_string(row[1] + "_" + row[0], row[3]);
       }
-    // Deterministic cube counters per oracle group (no wall time, so the
-    // results object stays byte-identical across thread counts).
-    report.add("golden_scan_cubes", static_cast<std::size_t>(group_cubes[0]));
-    report.add("orap_scan_cubes", static_cast<std::size_t>(group_cubes[1]));
+    // Deterministic solver counters per oracle group (no wall time, so
+    // the results object stays byte-identical across thread counts).
     report.add("golden_scan_solver_rounds",
                static_cast<std::size_t>(group_rounds[0]));
     report.add("orap_scan_solver_rounds",

@@ -30,9 +30,8 @@ struct BenchArgs {
   bool full = false;
   std::size_t threads = 0;   // 0 = auto (ORAP_THREADS / hardware)
   std::size_t portfolio = 1; // CDCL portfolio size for SAT-bound benches
-  std::size_t cube = 0;      // cube-and-conquer split depth (2^D cubes)
   bool preprocess = false;   // SatELite-style CNF simplification
-  bool incremental = false;  // persistent single-solver attack/ATPG core
+  bool incremental = false;  // single-solver ATPG / sensitization core
   // Oracle-resilience knobs (attack benches; attacks/faulty_oracle.h).
   double oracle_noise = 0.0;      // seeded response bit-flip rate
   double oracle_fail_rate = 0.0;  // seeded transient-failure rate
@@ -45,7 +44,6 @@ struct BenchArgs {
 
   static constexpr std::size_t kMaxThreads = 1024;
   static constexpr std::size_t kMaxPortfolio = 64;
-  static constexpr std::size_t kMaxCube = 6;  // 2^6 = 64 cubes
   static constexpr std::size_t kMaxVotes = 63;  // odd cap keeps ties rare
 
   /// Strict unsigned parse: whole token, base 10, no sign characters.
@@ -105,13 +103,6 @@ struct BenchArgs {
           *error = std::string("invalid --portfolio value '") + (arg + 12) +
                    "' (want an integer in [1, " +
                    std::to_string(kMaxPortfolio) + "])";
-          return false;
-        }
-      } else if (std::strncmp(arg, "--cube=", 7) == 0) {
-        if (!parse_size(arg + 7, &a.cube) || a.cube > kMaxCube) {
-          *error = std::string("invalid --cube value '") + (arg + 7) +
-                   "' (want an integer in [0, " + std::to_string(kMaxCube) +
-                   "])";
           return false;
         }
       } else if (std::strcmp(arg, "--preprocess") == 0) {
@@ -201,19 +192,17 @@ struct BenchArgs {
     std::fprintf(
         os,
         "usage: %s [--full | --scale=<0..1>] [--threads=N] [--portfolio=N] "
-        "[--cube=D] [--json=<path>]\n"
+        "[--json=<path>]\n"
         "  --full          paper-scale circuits (slow: minutes)\n"
         "  --scale=S       shrink benchmark circuits to S of paper size\n"
         "  --threads=N     thread-pool size (0 = auto: ORAP_THREADS or "
         "hardware concurrency)\n"
         "  --portfolio=N   CDCL portfolio size for SAT-solver-bound work "
         "(default 1)\n"
-        "  --cube=D        split every SAT query into 2^D cubes, conquered "
-        "in parallel (default 0)\n"
         "  --preprocess[=0|1]  SatELite-style CNF simplification before "
         "solving (default 0)\n"
-        "  --incremental[=0|1] persistent single-solver attack/ATPG core "
-        "(default 0)\n"
+        "  --incremental[=0|1] one persistent solver for ATPG and the "
+        "sensitization attack (default 0)\n"
         "  --oracle-noise=P      seeded oracle response bit-flip rate "
         "(default 0)\n"
         "  --oracle-fail-rate=P  seeded oracle transient-failure rate "
@@ -252,12 +241,9 @@ struct BenchArgs {
     std::printf("== %s ==\n", what);
     std::printf("threads: %zu\n", parallel_threads());
     if (portfolio > 1) std::printf("portfolio: %zu CDCL instances\n", portfolio);
-    if (cube > 0)
-      std::printf("cube: 2^%zu = %zu cubes per SAT query\n", cube,
-                  std::size_t{1} << cube);
     if (preprocess) std::printf("preprocess: CNF simplification on\n");
     if (incremental)
-      std::printf("incremental: persistent single-solver core on\n");
+      std::printf("incremental: persistent single-solver ATPG core on\n");
     if (oracle_noise > 0.0 || oracle_fail_rate > 0.0)
       std::printf("oracle faults: noise=%.4f fail-rate=%.4f\n", oracle_noise,
                   oracle_fail_rate);
@@ -340,7 +326,6 @@ class JsonReport {
     os << "{\"bench\": \"" << escaped(bench_) << "\", \"scale\": " << scale_buf
        << ", \"threads\": " << parallel_threads()
        << ", \"portfolio\": " << args_.portfolio
-       << ", \"cube\": " << args_.cube
        << ", \"preprocess\": " << (args_.preprocess ? 1 : 0)
        << ", \"incremental\": " << (args_.incremental ? 1 : 0);
     char rate_buf[32];

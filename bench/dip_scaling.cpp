@@ -74,9 +74,7 @@ int main(int argc, char** argv) {
     opts.max_iterations = (std::int64_t{1} << (max_sar + 1));
     opts.portfolio_size = args.portfolio;
     opts.preprocess = args.preprocess;
-    opts.cube_depth = static_cast<std::uint32_t>(args.cube);
     opts.deadline_ms = args.deadline_ms;
-    opts.incremental = args.incremental;
     switch (idx % 3) {
       case 0: {
         const LockedCircuit wl = lock_weighted(n, k, 2, 81);
@@ -100,21 +98,16 @@ int main(int argc, char** argv) {
   });
   double total_solver_ms = 0.0;
   double total_simplify_ms = 0.0;
-  double total_cube_ms = 0.0;
   std::size_t total_vars = 0, total_active = 0;
   std::uint64_t total_eliminated = 0, total_removed = 0;
-  std::uint64_t total_cubes = 0, total_cubes_refuted = 0;
   std::uint64_t total_inc_rounds = 0, total_carried = 0, total_reused = 0;
   for (const auto& r : results) {
     total_solver_ms += r.solver_wall_ms;
     total_simplify_ms += r.simplify_ms;
-    total_cube_ms += r.cube_wall_ms;
     total_vars += r.solver_vars;
     total_active += r.solver_active_vars;
     total_eliminated += r.eliminated_vars;
     total_removed += r.removed_clauses;
-    total_cubes += r.cubes;
-    total_cubes_refuted += r.cubes_refuted;
     total_inc_rounds += r.incremental_rounds;
     total_carried += r.clauses_carried;
     total_reused += r.encode_reused;
@@ -125,9 +118,6 @@ int main(int argc, char** argv) {
   report.add("solver_active_vars", total_active);
   report.add("eliminated_vars", static_cast<std::size_t>(total_eliminated));
   report.add("removed_clauses", static_cast<std::size_t>(total_removed));
-  report.add("cubes", static_cast<std::size_t>(total_cubes));
-  report.add("cubes_refuted", static_cast<std::size_t>(total_cubes_refuted));
-  report.add("cube_wall_ms", total_cube_ms, 1);
   report.add("incremental_rounds", static_cast<std::size_t>(total_inc_rounds));
   report.add("clauses_carried", static_cast<std::size_t>(total_carried));
   report.add("encode_reused", static_cast<std::size_t>(total_reused));

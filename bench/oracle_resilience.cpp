@@ -96,9 +96,7 @@ int main(int argc, char** argv) {
       opts.max_iterations = 4096;
       opts.portfolio_size = args.portfolio;
       opts.preprocess = args.preprocess;
-      opts.cube_depth = static_cast<std::uint32_t>(args.cube);
       opts.deadline_ms = args.deadline_ms;
-      opts.incremental = args.incremental;
       opts.resilience.votes = p.votes;
       opts.resilience.quarantine = p.quarantine;
       // A noisy oracle with retries off: only corrupted responses, never

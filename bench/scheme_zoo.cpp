@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "attacks/oracle.h"
 #include "attacks/sat_attack.h"
@@ -75,19 +76,21 @@ int main(int argc, char** argv) {
       {"K-Gate", "kgate_p4", "p=4", lock_kgate(n, 12, 4, 5)},
   };
 
+  const auto sat_options = [&args] {
+    SatAttackOptions opts;
+    opts.max_iterations = 4096;
+    opts.portfolio_size = args.portfolio;
+    opts.preprocess = args.preprocess;
+    return opts;
+  };
+
   // Every row owns its oracle and solver: fully independent, fan out.
   parallel_for(1, std::size(cases), [&](std::size_t i) {
     ZooCase& c = cases[i];
     c.hd = hamming_corruptibility(c.lc, hd_words, 8, 9);
     c.ov = measure_overhead(n, c.lc.netlist);
     GoldenOracle sat_oracle(c.lc);
-    SatAttackOptions opts;
-    opts.max_iterations = 4096;
-    opts.portfolio_size = args.portfolio;
-    opts.preprocess = args.preprocess;
-    opts.cube_depth = static_cast<std::uint32_t>(args.cube);
-    opts.incremental = args.incremental;
-    c.r = sat_attack(c.lc, sat_oracle, opts);
+    c.r = sat_attack(c.lc, sat_oracle, sat_options());
 
     const auto rem = removal_attack(c.lc, 256, 501 + i);
     c.removal = rem.has_value() ? "REMOVED" : "does not apply";
@@ -121,11 +124,31 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::printf("\n");
 
-  // The literature's qualitative laws, checked on the collected grid and
-  // recorded as 0/1 flags so CI can assert them from the JSON record.
-  const std::size_t d_h0 = cases[2].r.iterations, d_h1 = cases[3].r.iterations;
-  const std::size_t d_h2 = cases[4].r.iterations, d_h3 = cases[5].r.iterations;
-  const std::size_t d_k8 = cases[6].r.iterations, d_k12 = cases[7].r.iterations;
+  // The literature's qualitative laws, recorded as 0/1 flags so CI can
+  // assert them from the JSON record. They describe expected resilience,
+  // and one lock seed's DIP count swings by an order of magnitude (a DIP
+  // inside the stripped HD-h sphere rules out almost every key at once),
+  // so the DIP laws compare means over kLawSeeds lock seeds per (k, h);
+  // the rows above show the first of them.
+  constexpr std::size_t kLawSeeds = 8;
+  constexpr std::size_t kLawKh[][2] = {{10, 0}, {10, 1}, {10, 2},
+                                       {10, 3}, {8, 1},  {12, 1}};
+  std::vector<std::size_t> law_dips(std::size(kLawKh) * kLawSeeds);
+  parallel_for(1, law_dips.size(), [&](std::size_t i) {
+    const std::size_t* kh = kLawKh[i / kLawSeeds];
+    const LockedCircuit lc = lock_sfll_hd(n, kh[0], kh[1], 4 + i % kLawSeeds);
+    GoldenOracle oracle(lc);
+    law_dips[i] = sat_attack(lc, oracle, sat_options()).iterations;
+  });
+  double mean[std::size(kLawKh)] = {};
+  for (std::size_t i = 0; i < law_dips.size(); ++i)
+    mean[i / kLawSeeds] += static_cast<double>(law_dips[i]) / kLawSeeds;
+  for (std::size_t r = 0; r < std::size(kLawKh); ++r)
+    report.add("zoo_sfll_k" + std::to_string(kLawKh[r][0]) + "_h" +
+                   std::to_string(kLawKh[r][1]) + "_mean_dips",
+               mean[r], 1);
+  const double d_h0 = mean[0], d_h1 = mean[1], d_h2 = mean[2], d_h3 = mean[3];
+  const double d_k8 = mean[4], d_k12 = mean[5];
   const bool resilience_falls_with_h = d_h0 > d_h1 && d_h1 > d_h2 && d_h2 >= d_h3;
   const bool err_rises_with_h =
       cases[2].hd.error_rate_pct < cases[5].hd.error_rate_pct;
@@ -136,14 +159,16 @@ int main(int argc, char** argv) {
              static_cast<std::size_t>(err_rises_with_h));
   report.add("zoo_sfll_resilience_grows_with_k",
              static_cast<std::size_t>(resilience_grows_with_k));
-  std::printf("SFLL-HD(k,h) laws on this design:\n");
-  std::printf("  DIPs fall as h -> k/2 (2^k/C(k,h)):  %zu > %zu > %zu >= %zu  [%s]\n",
+  std::printf("SFLL-HD(k,h) laws on this design (mean DIPs over %zu lock "
+              "seeds):\n",
+              kLawSeeds);
+  std::printf("  DIPs fall as h -> k/2 (2^k/C(k,h)):  %.1f > %.1f > %.1f >= %.1f  [%s]\n",
               d_h0, d_h1, d_h2, d_h3,
               resilience_falls_with_h ? "ok" : "VIOLATED");
   std::printf("  error rate rises with h:             %.2f%% -> %.2f%%  [%s]\n",
               cases[2].hd.error_rate_pct, cases[5].hd.error_rate_pct,
               err_rises_with_h ? "ok" : "VIOLATED");
-  std::printf("  DIPs grow with k at fixed h=1:       %zu < %zu < %zu  [%s]\n",
+  std::printf("  DIPs grow with k at fixed h=1:       %.1f < %.1f < %.1f  [%s]\n",
               d_k8, d_h1, d_k12, resilience_grows_with_k ? "ok" : "VIOLATED");
 
   report.finish();

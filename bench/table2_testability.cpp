@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
   opts.conflict_budget = args.full ? 10000 : 2000;
   opts.portfolio_size = args.portfolio;
   opts.preprocess = args.preprocess;
-  opts.cube_depth = static_cast<std::uint32_t>(args.cube);
   opts.incremental = args.incremental;
 
   const auto& profiles = paper_benchmarks();
@@ -77,15 +76,10 @@ int main(int argc, char** argv) {
     }
   });
 
-  std::uint64_t total_cubes = 0, total_cubes_refuted = 0;
-  double total_cube_ms = 0.0;
   std::uint64_t total_rounds = 0, total_carried = 0, total_reused = 0;
   std::size_t total_sim_patterns = 0;
   double total_sim_ms = 0.0;
   for (std::size_t i = 0; i < profiles.size(); ++i) {
-    total_cubes += orig[i].cubes + prot[i].cubes;
-    total_cubes_refuted += orig[i].cubes_refuted + prot[i].cubes_refuted;
-    total_cube_ms += orig[i].cube_wall_ms + prot[i].cube_wall_ms;
     total_rounds += orig[i].solver_rounds + prot[i].solver_rounds;
     total_carried += orig[i].clauses_carried + prot[i].clauses_carried;
     total_reused += orig[i].encode_reused + prot[i].encode_reused;
@@ -93,9 +87,6 @@ int main(int argc, char** argv) {
         orig[i].random_sim_patterns + prot[i].random_sim_patterns;
     total_sim_ms += orig[i].random_sim_ms + prot[i].random_sim_ms;
   }
-  report.add("cubes", static_cast<std::size_t>(total_cubes));
-  report.add("cubes_refuted", static_cast<std::size_t>(total_cubes_refuted));
-  report.add("cube_wall_ms", total_cube_ms, 1);
   report.add("solver_rounds", static_cast<std::size_t>(total_rounds));
   report.add("clauses_carried", static_cast<std::size_t>(total_carried));
   report.add("encode_reused", static_cast<std::size_t>(total_reused));

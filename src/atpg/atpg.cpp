@@ -1,8 +1,8 @@
 #include "atpg/atpg.h"
 
 #include "netlist/analysis.h"
-#include "sat/cube.h"
 #include "sat/encode.h"
+#include "sat/portfolio.h"
 #include "util/simd.h"
 
 namespace orap {
@@ -34,7 +34,9 @@ class IncrementalAtpg {
  public:
   IncrementalAtpg(const Netlist& n, const AtpgOptions& opts,
                   const std::chrono::steady_clock::time_point* deadline)
-      : n_(n), s_(cube_opts(opts)), e_(s_) {
+      : n_(n),
+        s_(sat::PortfolioOptions{.size = opts.portfolio_size}),
+        e_(s_) {
     if (deadline != nullptr) s_.set_deadline(*deadline);
     gvar_.assign(n.num_gates(), sat::Encoder::kNoVar);
     std::vector<sat::Var> fi;
@@ -134,15 +136,8 @@ class IncrementalAtpg {
   std::uint64_t encode_reused() const { return encode_reused_; }
 
  private:
-  static sat::CubeOptions cube_opts(const AtpgOptions& opts) {
-    sat::CubeOptions co;
-    co.depth = opts.cube_depth;
-    co.portfolio.size = opts.portfolio_size == 0 ? 1 : opts.portfolio_size;
-    return co;
-  }
-
   const Netlist& n_;
-  sat::CubeSolver s_;
+  sat::PortfolioSolver s_;
   sat::Encoder e_;
   std::vector<sat::Var> gvar_;
   std::vector<sat::Var> fvar_;  // per-fault scratch
@@ -154,7 +149,7 @@ class IncrementalAtpg {
 std::optional<BitVec> generate_test(
     const Netlist& n, const Fault& f, std::int64_t conflict_budget,
     bool* aborted_out, std::size_t portfolio_size, bool preprocess,
-    std::uint32_t cube_depth, sat::SolverStats* stats_out,
+    sat::SolverStats* stats_out,
     const std::chrono::steady_clock::time_point* deadline) {
   if (aborted_out != nullptr) *aborted_out = false;
   if (stats_out != nullptr) *stats_out = sat::SolverStats{};
@@ -170,10 +165,7 @@ std::optional<BitVec> generate_test(
   if (reachable_pos.empty()) return std::nullopt;  // cannot reach any PO
   const auto needed = fanin_cone(n, reachable_pos);
 
-  sat::CubeOptions co;
-  co.depth = cube_depth;
-  co.portfolio.size = portfolio_size == 0 ? 1 : portfolio_size;
-  sat::CubeSolver s(co);
+  sat::PortfolioSolver s(sat::PortfolioOptions{.size = portfolio_size});
   if (deadline != nullptr) s.set_deadline(*deadline);
   sat::Encoder e(s);
 
@@ -310,12 +302,8 @@ AtpgResult run_atpg(const Netlist& n, const AtpgOptions& opts) {
     } else {
       sat::SolverStats qstats;
       pattern = generate_test(n, f, opts.conflict_budget, &aborted,
-                              opts.portfolio_size, opts.preprocess,
-                              opts.cube_depth, &qstats,
+                              opts.portfolio_size, opts.preprocess, &qstats,
                               has_deadline ? &deadline : nullptr);
-      result.cubes += qstats.cubes;
-      result.cubes_refuted += qstats.cubes_refuted;
-      result.cube_wall_ms += qstats.cube_wall_ms;
       result.solver_rounds += qstats.incremental_rounds;
       result.clauses_carried += qstats.clauses_carried;
     }
@@ -344,9 +332,6 @@ AtpgResult run_atpg(const Netlist& n, const AtpgOptions& opts) {
   if (inc.has_value()) {
     // One persistent solver: its totals ARE the phase totals.
     const sat::SolverStats st = inc->stats();
-    result.cubes = st.cubes;
-    result.cubes_refuted = st.cubes_refuted;
-    result.cube_wall_ms = st.cube_wall_ms;
     result.solver_rounds = st.incremental_rounds;
     result.clauses_carried = st.clauses_carried;
     result.encode_reused = inc->encode_reused();

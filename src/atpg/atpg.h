@@ -16,6 +16,7 @@
 #include "atpg/fault.h"
 #include "atpg/fault_sim.h"
 #include "util/bitvec.h"
+#include "util/check.h"
 
 namespace orap::sat {
 struct SolverStats;
@@ -38,10 +39,6 @@ struct AtpgOptions {
   /// good/faulty miter before solving. Fault-site and PI/PO variables are
   /// frozen so the test pattern stays readable from the model.
   bool preprocess = false;
-  /// > 0 splits every fault query into 2^depth cubes via deterministic
-  /// lookahead and conquers them in parallel (sat/cube.h); the conflict
-  /// budget becomes a TOTAL per query, split across cubes.
-  std::uint32_t cube_depth = 0;
   /// Wall-clock deadline for the whole ATPG phase; < 0 = none. Once it
   /// expires, the in-flight fault query aborts (solver-internal check) and
   /// every not-yet-attempted fault is counted as aborted. Timing-dependent,
@@ -73,12 +70,6 @@ struct AtpgResult {
   std::size_t aborted = 0;
   std::vector<BitVec> patterns;  // ATPG-phase patterns only
 
-  // Cube-and-conquer accounting over the ATPG phase (0 when cube_depth
-  // is 0 — see AtpgOptions::cube_depth).
-  std::uint64_t cubes = 0;
-  std::uint64_t cubes_refuted = 0;
-  double cube_wall_ms = 0.0;
-
   // Incremental-solver accounting. solver_rounds / clauses_carried come
   // from the solver (learnts alive at each solve() entry, summed);
   // encode_reused counts good-copy gates a fault query shared instead of
@@ -106,15 +97,27 @@ struct AtpgResult {
 /// Generates a test pattern for one fault (nullopt = redundant or
 /// aborted; `aborted_out` distinguishes the two). portfolio_size > 1
 /// races diversified solver instances on the good/faulty miter;
-/// `preprocess` simplifies the miter CNF before the solve; cube_depth > 0
-/// splits the query into 2^depth cubes. `stats_out` (optional) receives
-/// the query's summed solver stats, cube counters included. `deadline`
+/// `preprocess` simplifies the miter CNF before the solve. `stats_out`
+/// (optional) receives the query's summed solver stats. `deadline`
 /// (optional) bounds the query by wall clock: expiry aborts it.
 std::optional<BitVec> generate_test(
     const Netlist& n, const Fault& f, std::int64_t conflict_budget,
     bool* aborted_out, std::size_t portfolio_size = 1, bool preprocess = false,
-    std::uint32_t cube_depth = 0, sat::SolverStats* stats_out = nullptr,
+    sat::SolverStats* stats_out = nullptr,
     const std::chrono::steady_clock::time_point* deadline = nullptr);
+
+/// Positional form that still passes the retired cube-split depth between
+/// `preprocess` and `stats_out`, kept so existing callers compile. Cube
+/// splitting no longer exists: `split_depth` must be 0.
+inline std::optional<BitVec> generate_test(
+    const Netlist& n, const Fault& f, std::int64_t conflict_budget,
+    bool* aborted_out, std::size_t portfolio_size, bool preprocess,
+    int split_depth, sat::SolverStats* stats_out,
+    const std::chrono::steady_clock::time_point* deadline = nullptr) {
+  ORAP_CHECK_MSG(split_depth == 0, "cube splitting was removed");
+  return generate_test(n, f, conflict_budget, aborted_out, portfolio_size,
+                       preprocess, stats_out, deadline);
+}
 
 /// The full Table II flow: collapse faults, pseudorandom phase with
 /// dropping, SAT-ATPG on the remainder.

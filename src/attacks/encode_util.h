@@ -8,11 +8,13 @@
 // structurally identical subcircuits — the dominant cost of miter-style
 // attacks on a plain CDCL solver.
 
+#include <initializer_list>
 #include <vector>
 
 #include "locking/locking.h"
 #include "netlist/simulator.h"
 #include "sat/encode.h"
+#include "util/check.h"
 
 namespace orap {
 
@@ -39,19 +41,9 @@ class LockedEncoder {
   sat::Encoder& encoder() { return enc_; }
   const std::vector<bool>& key_dependent() const { return key_dep_; }
 
-  /// Incremental mode: per-DIP cones are constant-folded against the
-  /// simulated key-independent values before any clause is emitted —
-  /// buffers/inverters become literal aliases, controlling constants
-  /// collapse whole gates, XOR chains fold to polarity flips. Only the
-  /// residual gates get fresh variables and clauses, so the persistent
-  /// solver's formula grows far slower across the DIP loop. The folded
-  /// and unfolded constraints are equisatisfiable over the key variables;
-  /// the CNF (and hence the solver's search trajectory) differs, which is
-  /// why the knob defaults off.
-  void set_fold_constants(bool on) { fold_ = on; }
-  bool fold_constants() const { return fold_; }
-  /// Cone gates resolved during add_io_constraint without fresh clauses
-  /// (folded to a constant or aliased to an existing literal).
+  /// Cone gates resolved during add_io_constraint / add_output_equality
+  /// without fresh clauses (folded to a constant or aliased to an existing
+  /// literal).
   std::uint64_t encode_reused() const { return encode_reused_; }
 
   /// Freezes the encoder-owned interface vars (the constants) against
@@ -132,11 +124,17 @@ class LockedEncoder {
     return cv;
   }
 
-  /// Adds the oracle constraint C(xd, key_vars) == y, encoding only the
-  /// key-dependent cone (key-independent gate values are computed by
-  /// simulation and enter the CNF as constants). Returns false when a
-  /// key-independent output already contradicts `y` — a lying oracle no
-  /// key assignment can explain.
+  /// Adds the oracle constraint C(xd, key_vars) == y. Only the
+  /// key-dependent cone reaches the solver, and it is constant-folded
+  /// against the simulated key-independent values first: buffers and
+  /// inverters become literal aliases, controlling constants collapse
+  /// whole gates, XOR chains fold to polarity flips. Only the residual
+  /// gates get fresh variables and clauses, so the persistent miter
+  /// solver's formula grows slowly across the DIP loop. Returns false
+  /// exactly when an output's value is forced — by simulation or by
+  /// folding — to contradict `y`: no key assignment can explain the
+  /// response (the classic lying-oracle proof, caught here without a
+  /// single solver call).
   ///
   /// `guard >= 0` makes the constraint retractable: every output-pinning
   /// clause carries ¬guard, so the pair only binds while pos(guard) is
@@ -147,43 +145,43 @@ class LockedEncoder {
   bool add_io_constraint(const BitVec& xd, const BitVec& y,
                          const std::vector<sat::Var>& key_vars,
                          sat::Var guard = -1) {
-    const Netlist& n = lc_.netlist;
-    // Key-independent values via simulation (key bits are irrelevant for
-    // these gates; use zeros).
-    sim_.broadcast_inputs(lc_.assemble_input(xd, BitVec(lc_.num_key_inputs)));
-    sim_.run();
-    auto sim_bit = [this](GateId g) { return (sim_.value(g) & 1) != 0; };
-
-    if (fold_) return add_io_constraint_folded(y, key_vars, guard, sim_bit);
-
-    // This runs once per DIP: reuse the gate-var map and fanin scratch
-    // across calls instead of reallocating num_gates() entries each time.
-    auto& var = io_var_;
-    var.assign(n.num_gates(), sat::Encoder::kNoVar);
-    for (std::size_t i = 0; i < lc_.num_key_inputs; ++i)
-      var[lc_.key_input(i)] = key_vars[i];
-    for (GateId g = 0; g < n.num_gates(); ++g) {
-      if (!key_dep_[g] || var[g] != sat::Encoder::kNoVar) continue;
-      // Key-independent fanins enter as constants (their simulated value).
-      fi_.clear();
-      for (const GateId f : n.fanins(g))
-        fi_.push_back(key_dep_[f] ? var[f] : const_var(sim_bit(f)));
-      var[g] = enc_.encode_gate(n.type(g), fi_);
-    }
-
+    simulate(xd);
+    fold_outputs(key_vars, &outs_a_);
     bool consistent = true;
-    for (std::size_t o = 0; o < n.num_outputs(); ++o) {
-      const GateId g = n.outputs()[o].gate;
-      if (key_dep_[g]) {
-        if (guard >= 0)
-          s_.add_clause({sat::neg(guard), sat::Lit(var[g], !y.get(o))});
-        else
-          s_.add_clause({sat::Lit(var[g], !y.get(o))});
-      } else if (sim_bit(g) != y.get(o)) {
-        consistent = false;
+    for (std::size_t o = 0; o < outs_a_.size(); ++o) {
+      const FLit v = outs_a_[o];
+      const bool want = y.get(o);
+      if (v.is_const()) {
+        // Key-independent at xd: equal is a tautology, different is the
+        // no-key-can-explain-this proof.
+        if ((v.k != 0) != want) consistent = false;
+        continue;
       }
+      add_guarded(guard, {want ? v.lit : ~v.lit});
     }
     return consistent;
+  }
+
+  /// Adds C(xd, ka) == C(xd, kb) under `guard` (every clause carries
+  /// ¬guard), with both cones folded as in add_io_constraint. The DIP
+  /// harvester uses it so that the next DIP of a round must split the
+  /// candidate key pair somewhere the earlier DIPs did not.
+  void add_output_equality(const BitVec& xd, const std::vector<sat::Var>& ka,
+                           const std::vector<sat::Var>& kb, sat::Var guard) {
+    simulate(xd);
+    fold_outputs(ka, &outs_a_);
+    fold_outputs(kb, &outs_b_);
+    for (std::size_t o = 0; o < outs_a_.size(); ++o) {
+      const FLit a = outs_a_[o];
+      const FLit b = outs_b_[o];
+      // Folding depends only on the simulated constants, never on which
+      // key variables feed the cone, so both cones fold alike: an output
+      // that folds to a constant is the same constant under either key.
+      ORAP_DCHECK(a.is_const() == b.is_const());
+      if (a.is_const()) continue;
+      add_guarded(guard, {~a.lit, b.lit});
+      add_guarded(guard, {a.lit, ~b.lit});
+    }
   }
 
  private:
@@ -196,17 +194,29 @@ class LockedEncoder {
     bool is_const() const { return k >= 0; }
   };
 
-  /// Incremental-mode cone encoding: same key constraint as the unfolded
-  /// path, but gates whose value is forced by the key-independent
-  /// simulation (or that reduce to an alias / negation of one literal)
-  /// never touch the solver. Returns false exactly when an output's value
-  /// is forced — by simulation or by folding — to contradict `y`: no key
-  /// assignment can explain the response (the classic lying-oracle proof,
-  /// caught here without a single solver call).
-  template <typename SimBit>
-  bool add_io_constraint_folded(const BitVec& y,
-                                const std::vector<sat::Var>& key_vars,
-                                sat::Var guard, SimBit sim_bit) {
+  /// Key-independent gate values at data input xd (key bits are
+  /// irrelevant for these gates; use zeros).
+  void simulate(const BitVec& xd) {
+    sim_.broadcast_inputs(lc_.assemble_input(xd, BitVec(lc_.num_key_inputs)));
+    sim_.run();
+  }
+  bool sim_bit(GateId g) const { return (sim_.value(g) & 1) != 0; }
+
+  /// Adds `lits`, plus ¬guard when guard >= 0.
+  void add_guarded(sat::Var guard, std::initializer_list<sat::Lit> lits) {
+    cl_.clear();
+    if (guard >= 0) cl_.push_back(sat::neg(guard));
+    cl_.insert(cl_.end(), lits);
+    s_.add_clause(cl_);
+  }
+
+  /// Folds the key cone under `key_vars` against the last simulate() and
+  /// stores every output's value in (*outs)[o]: a constant for outputs
+  /// outside the key cone or forced by folding, else a literal. Gates
+  /// whose value is forced (or that reduce to an alias / negation of one
+  /// literal) never touch the solver.
+  void fold_outputs(const std::vector<sat::Var>& key_vars,
+                    std::vector<FLit>* outs) {
     const Netlist& n = lc_.netlist;
     auto& fv = io_fold_;
     fv.assign(n.num_gates(), FLit{});
@@ -217,7 +227,7 @@ class LockedEncoder {
       return key_dep_[f] ? fv[f] : FLit::constant(sim_bit(f));
     };
 
-    std::vector<sat::Lit>& res = cl_;  // residual-literal scratch
+    std::vector<sat::Lit>& res = res_;  // residual-literal scratch
     for (GateId g = 0; g < n.num_gates(); ++g) {
       if (!key_dep_[g] || n.type(g) == GateType::kInput) continue;
       const auto fins = n.fanins(g);
@@ -336,29 +346,9 @@ class LockedEncoder {
       fv[g] = out;
     }
 
-    bool consistent = true;
-    for (std::size_t o = 0; o < n.num_outputs(); ++o) {
-      const GateId g = n.outputs()[o].gate;
-      const bool want = y.get(o);
-      if (!key_dep_[g]) {
-        if (sim_bit(g) != want) consistent = false;
-        continue;
-      }
-      const FLit v = fv[g];
-      if (v.is_const()) {
-        // The cone folded to a constant: equal is a tautology, different
-        // is the same no-key-can-explain-this proof as the key-independent
-        // mismatch above.
-        if ((v.k != 0) != want) consistent = false;
-        continue;
-      }
-      const sat::Lit pin = want ? v.lit : ~v.lit;
-      if (guard >= 0)
-        s_.add_clause({sat::neg(guard), pin});
-      else
-        s_.add_clause({pin});
-    }
-    return consistent;
+    outs->clear();
+    for (const auto& po : n.outputs())
+      outs->push_back(fanin_of(po.gate));
   }
 
   /// Fresh variable e with e <-> (a == b).
@@ -388,14 +378,14 @@ class LockedEncoder {
   sat::Var const_true_ = -1;
   sat::Var const_false_ = -1;
 
-  bool fold_ = false;
   std::uint64_t encode_reused_ = 0;
 
   // Scratch buffers reused across encode calls.
   std::vector<sat::Var> fi_;
   std::vector<sat::Lit> cl_;
-  std::vector<sat::Var> io_var_;
+  std::vector<sat::Lit> res_;
   std::vector<FLit> io_fold_;
+  std::vector<FLit> outs_a_, outs_b_;
 };
 
 }  // namespace orap

@@ -8,8 +8,8 @@
 
 #include "attacks/encode_util.h"
 #include "netlist/simulator.h"
-#include "sat/cube.h"
 #include "sat/encode.h"
+#include "sat/portfolio.h"
 #include "sat/simplify.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -19,19 +19,10 @@ namespace orap {
 
 namespace {
 
-using sat::CubeSolver;
 using sat::Encoder;
 using sat::Lit;
 using sat::Solver;
 using sat::Var;
-
-sat::CubeOptions cube_options(std::size_t portfolio_size,
-                              std::uint32_t cube_depth) {
-  sat::CubeOptions co;
-  co.depth = cube_depth;
-  co.portfolio.size = portfolio_size == 0 ? 1 : portfolio_size;
-  return co;
-}
 
 /// One recorded oracle I/O pair. With quarantine on, `sel` guards every
 /// clause the pair contributed, so assuming pos(sel) binds it and a unit
@@ -46,7 +37,7 @@ struct PairRecord {
 /// Shared state of the DIP loop.
 struct AttackContext {
   const LockedCircuit& lc;
-  CubeSolver solver;
+  sat::PortfolioSolver solver;
   LockedEncoder lenc;
   std::vector<Var> x;    // shared data-input vars of the miter
   std::vector<Var> k1;   // key copy 1
@@ -79,15 +70,14 @@ struct AttackContext {
   std::chrono::steady_clock::time_point deadline{};
 
   AttackContext(const LockedCircuit& locked, Oracle& orc,
-                std::size_t portfolio_size, std::uint32_t cube_depth,
+                std::size_t portfolio_size,
                 const OracleResilienceOptions& resilience,
-                std::int64_t deadline_ms, bool incremental = false)
+                std::int64_t deadline_ms)
       : lc(locked),
-        solver(cube_options(portfolio_size, cube_depth)),
+        solver(sat::PortfolioOptions{.size = portfolio_size}),
         lenc(solver, locked),
         oracle(&orc),
         res(resilience) {
-    lenc.set_fold_constants(incremental);
     if (deadline_ms >= 0) {
       deadline = std::chrono::steady_clock::now() +
                  std::chrono::milliseconds(deadline_ms);
@@ -275,6 +265,12 @@ struct AttackContext {
     return RecordStatus::kEvicted;
   }
 
+  /// Record-time evictions count against max_evictions exactly like
+  /// repair evictions; the attack loops degrade once this turns true.
+  bool over_eviction_budget() const {
+    return evicted_pairs > res.max_evictions;
+  }
+
   /// Evicts a recorded pair for good: a unit ¬sel retracts its guarded
   /// clauses from every future solve.
   void evict_pair(std::size_t idx) {
@@ -290,24 +286,32 @@ struct AttackContext {
 
   /// Call immediately after a kSat solve of the activated miter. Reads the
   /// model's DIP and, when want > 1, keeps re-solving under a fresh
-  /// harvest selector `h` with per-DIP blocking clauses ({neg(h)} or some
-  /// x bit differs from the harvested input) to collect up to `want`
-  /// DISTINCT DIPs of the same constraint set before any re-encoding —
-  /// slightly more solver work for want-fold fewer oracle round trips.
-  /// Harvesting is opportunistic: kUnsat (no further DIP exists) or
-  /// kUnknown (conflict budget / deadline inside the extra solve) just
-  /// stops it; the DIPs already in hand are genuine DIPs and still
-  /// advance the attack. The selector retires with a unit neg(h) so the
-  /// blocking clauses are permanently satisfied and never constrain a
-  /// later round.
-  std::vector<BitVec> harvest_dips(std::size_t want, std::int64_t budget) {
+  /// harvest selector `h` to collect up to `want` DIPs of the same
+  /// constraint set before any re-encoding — slightly more solver work for
+  /// want-fold fewer oracle round trips. `ka`/`kb` is the key pair every
+  /// DIP splits (k1/k2 for the SAT attack, k1/k3 for Double-DIP). Under
+  /// `h` the pair must agree on every DIP already harvested (C(x_i, ka) ==
+  /// C(x_i, kb), folded cones), so each further DIP splits it on an input
+  /// where no earlier DIP of the round did — it rules out different wrong
+  /// keys instead of the same ones again — and is distinct from them. This
+  /// only narrows the choice among genuine DIPs. Harvesting is opportunistic:
+  /// kUnsat (no further DIP exists) or kUnknown (conflict budget /
+  /// deadline inside the extra solve) just stops it; the DIPs already in
+  /// hand still advance the attack. The selector retires with a unit
+  /// neg(h) so the round's clauses never constrain a later round.
+  std::vector<BitVec> harvest_dips(std::size_t want, std::int64_t budget,
+                                   const std::vector<Var>& ka,
+                                   const std::vector<Var>& kb) {
     std::vector<BitVec> out;
     out.push_back(model_bits(x));
     if (want <= 1) return out;  // classic loop: no extra vars, no clauses
     const Var h = solver.new_var();
     while (out.size() < want) {
-      std::vector<Lit> block{sat::neg(h)};
       const BitVec& last = out.back();
+      lenc.add_output_equality(last, ka, kb, h);
+      // Implied by the equality under the miter, but hands the solver
+      // x != last as one clause instead of a derivation through two cones.
+      std::vector<Lit> block{sat::neg(h)};
       for (std::size_t i = 0; i < x.size(); ++i)
         block.push_back(last.get(i) ? sat::neg(x[i]) : sat::pos(x[i]));
       solver.add_clause(block);
@@ -464,7 +468,7 @@ struct AttackContext {
         static_cast<std::size_t>(solver.stats().eliminated_vars);
   }
 
-  /// Copies formula-size / preprocessing / cube / resilience counters into
+  /// Copies formula-size / preprocessing / resilience counters into
   /// the result.
   void fill_solver_stats(SatAttackResult* result) const {
     const sat::SolverStats st = solver.stats();
@@ -477,9 +481,6 @@ struct AttackContext {
     result->eliminated_vars = st.eliminated_vars;
     result->removed_clauses = st.simplify_removed_clauses;
     result->simplify_ms = st.simplify_ms;
-    result->cubes = st.cubes;
-    result->cubes_refuted = st.cubes_refuted;
-    result->cube_wall_ms = st.cube_wall_ms;
     result->oracle_retries = oracle_retries;
     result->vote_queries = vote_queries;
     result->evicted_pairs = evicted_pairs;
@@ -798,8 +799,8 @@ SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
   ORAP_CHECK(oracle.num_inputs() == locked.num_data_inputs);
   ORAP_CHECK(oracle.num_outputs() == locked.netlist.num_outputs());
 
-  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.cube_depth,
-                    opts.resilience, opts.deadline_ms, opts.incremental);
+  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.resilience,
+                    opts.deadline_ms);
   ctx.batch = opts.oracle_batch;
   ctx.dip_batch = opts.dip_batch < 1 ? 1 : opts.dip_batch;
   ctx.x = fresh_vars(ctx.solver, ctx.nd());
@@ -825,7 +826,7 @@ SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
   SatAttackResult result;
   const auto finish = [&ctx, &result, &oracle] {
     result.oracle_queries = oracle.query_count();
-    result.solver_wall_ms = ctx.solver.cube_stats().solve_wall_ms;
+    result.solver_wall_ms = ctx.solver.portfolio_stats().solve_wall_ms;
     ctx.fill_solver_stats(&result);
   };
   std::size_t repair_rounds = 0;
@@ -854,7 +855,7 @@ SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
           ctx.dip_batch,
           static_cast<std::size_t>(opts.max_iterations) - result.iterations);
       const std::vector<BitVec> xds =
-          ctx.harvest_dips(want, opts.conflict_budget);
+          ctx.harvest_dips(want, opts.conflict_budget, ctx.k1, ctx.k2);
       result.iterations += xds.size();
       const auto round = ctx.query_and_record(xds);
       if (round == AttackContext::DipRound::kOracleError) {
@@ -866,6 +867,11 @@ SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
         // A key-independent output contradicted the response: no key can
         // explain this oracle (and quarantine is off).
         result.status = SatAttackResult::Status::kInconsistentOracle;
+        finish();
+        return result;
+      }
+      if (ctx.over_eviction_budget()) {
+        degrade(ctx, opts.conflict_budget, &result);
         finish();
         return result;
       }
@@ -894,8 +900,8 @@ SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
 
 SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
                               const AppSatOptions& opts) {
-  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.cube_depth,
-                    opts.resilience, opts.deadline_ms, opts.incremental);
+  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.resilience,
+                    opts.deadline_ms);
   ctx.batch = opts.oracle_batch;
   ctx.x = fresh_vars(ctx.solver, ctx.nd());
   ctx.k1 = fresh_vars(ctx.solver, ctx.nk());
@@ -920,7 +926,7 @@ SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
   std::size_t clean_rounds = 0;
   const auto finish = [&ctx, &result, &oracle] {
     result.oracle_queries = oracle.query_count();
-    result.solver_wall_ms = ctx.solver.cube_stats().solve_wall_ms;
+    result.solver_wall_ms = ctx.solver.portfolio_stats().solve_wall_ms;
     ctx.fill_solver_stats(&result);
   };
   std::size_t repair_rounds = 0;
@@ -958,6 +964,11 @@ SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
       }
       if (round == AttackContext::DipRound::kInconsistent) {
         result.status = SatAttackResult::Status::kInconsistentOracle;
+        finish();
+        return result;
+      }
+      if (ctx.over_eviction_budget()) {
+        degrade(ctx, opts.conflict_budget, &result);
         finish();
         return result;
       }
@@ -1026,6 +1037,11 @@ SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
           }
         }
       }
+      if (ctx.over_eviction_budget()) {
+        degrade(ctx, opts.conflict_budget, &result);
+        finish();
+        return result;
+      }
       if (mismatches == 0) {
         if (++clean_rounds >= opts.settle_rounds) {
           // Approximate key settled.
@@ -1054,8 +1070,8 @@ SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
 
 SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
                                   const SatAttackOptions& opts) {
-  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.cube_depth,
-                    opts.resilience, opts.deadline_ms, opts.incremental);
+  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.resilience,
+                    opts.deadline_ms);
   ctx.batch = opts.oracle_batch;
   ctx.dip_batch = opts.dip_batch < 1 ? 1 : opts.dip_batch;
   ctx.x = fresh_vars(ctx.solver, ctx.nd());
@@ -1065,7 +1081,7 @@ SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
   auto k4 = fresh_vars(ctx.solver, ctx.nk());
   ctx.act = ctx.solver.new_var();
   ctx.key_sets = {ctx.k1, ctx.k2, k3, k4};
-  CubeSolver& s = ctx.solver;
+  sat::PortfolioSolver& s = ctx.solver;
   Encoder& e = ctx.enc();
 
   const auto a = ctx.lenc.encode_full(ctx.x, ctx.k1);
@@ -1104,7 +1120,7 @@ SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
   SatAttackResult result;
   const auto finish = [&ctx, &result, &oracle] {
     result.oracle_queries = oracle.query_count();
-    result.solver_wall_ms = ctx.solver.cube_stats().solve_wall_ms;
+    result.solver_wall_ms = ctx.solver.portfolio_stats().solve_wall_ms;
     ctx.fill_solver_stats(&result);
   };
   std::size_t repair_rounds = 0;
@@ -1130,7 +1146,7 @@ SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
           ctx.dip_batch,
           static_cast<std::size_t>(opts.max_iterations) - result.iterations);
       const std::vector<BitVec> xds =
-          ctx.harvest_dips(want, opts.conflict_budget);
+          ctx.harvest_dips(want, opts.conflict_budget, ctx.k1, k3);
       result.iterations += xds.size();
       const auto round = ctx.query_and_record(xds);
       if (round == AttackContext::DipRound::kOracleError) {
@@ -1140,6 +1156,11 @@ SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
       }
       if (round == AttackContext::DipRound::kInconsistent) {
         result.status = SatAttackResult::Status::kInconsistentOracle;
+        finish();
+        return result;
+      }
+      if (ctx.over_eviction_budget()) {
+        degrade(ctx, opts.conflict_budget, &result);
         finish();
         return result;
       }

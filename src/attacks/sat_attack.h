@@ -39,7 +39,8 @@ struct OracleResilienceOptions {
   /// cores over the selectors, evicted, re-queried, and the DIP loop
   /// continues instead of dying with kInconsistentOracle.
   bool quarantine = false;
-  /// Evicting more pairs than this abandons exact recovery: the attack
+  /// Evicting more pairs than this — at record time (a response no key
+  /// can explain) or during repair — abandons exact recovery: the attack
   /// keeps a maximal consistent pair subset and returns kDegraded with
   /// the best approximate key + a measured error rate.
   std::size_t max_evictions = 256;
@@ -49,6 +50,11 @@ struct OracleResilienceOptions {
   bool enabled() const { return retries > 0 || votes > 1 || quarantine; }
 };
 
+/// The attacks keep one persistent miter solver; every recorded oracle
+/// pair enters it as a constant-folded key cone
+/// (LockedEncoder::add_io_constraint), so the formula grows slowly across
+/// iterations and learnt clauses carry from DIP to DIP. For fixed options
+/// the result is bit-identical at any thread count and portfolio size.
 struct SatAttackOptions {
   std::int64_t max_iterations = 4096;
   std::int64_t conflict_budget = -1;  // per SAT call; <0 = unlimited
@@ -66,20 +72,6 @@ struct SatAttackOptions {
   /// (data inputs, key vectors, activation literal, miter outputs, encoder
   /// constants) so every later add_io_constraint stays expressible.
   bool preprocess = false;
-  /// > 0 splits every SAT query into 2^depth cubes via deterministic
-  /// lookahead and conquers them in parallel (sat/cube.h); composes with
-  /// portfolio_size (one portfolio per cube) and preprocess. A finite
-  /// conflict_budget is the TOTAL for the query, split across cubes.
-  std::uint32_t cube_depth = 0;
-  /// Incremental single-solver mode: per-DIP oracle constraints are
-  /// constant-folded against the key-independent simulation before they
-  /// reach the persistent miter solver (LockedEncoder::set_fold_constants),
-  /// so the formula grows far slower across iterations and learnt clauses
-  /// carry further. Equisatisfiable over the key variables but a different
-  /// CNF, hence a different solver trajectory — defaults off so historical
-  /// runs replay bit-identically. Results stay deterministic for any fixed
-  /// incremental setting across threads/portfolio/cube.
-  bool incremental = false;
   /// Attack-side oracle batching: ship all majority-vote replicas of a
   /// logical query, the quarantine re-query set, and the degraded
   /// measurement samples as Oracle::query_batch flushes (one round trip
@@ -89,10 +81,11 @@ struct SatAttackOptions {
   /// deterministic for a fixed setting, and the default OFF preserves the
   /// serial trajectory exactly).
   bool oracle_batch = false;
-  /// k-DIP harvesting: enumerate up to this many distinct DIPs per solver
-  /// round via blocking clauses and ship them as one oracle batch before
-  /// re-encoding — slightly more solver work for k-fold fewer oracle
-  /// round trips. 1 = off (the classic one-DIP-per-round loop, exactly).
+  /// k-DIP harvesting: enumerate up to this many DIPs per solver round —
+  /// each splitting the candidate key pair on an input where the earlier
+  /// ones of the round did not — and ship them as one oracle batch before
+  /// re-encoding: slightly more solver work for k-fold fewer oracle round
+  /// trips. 1 = off (the classic one-DIP-per-round loop, exactly).
   /// A different value is a different (equally valid) attack trajectory;
   /// the final key agrees whenever the scheme admits one functionally
   /// correct key.
@@ -137,16 +130,10 @@ struct SatAttackResult {
   std::uint64_t removed_clauses = 0;   // net clause-count reduction
   double simplify_ms = 0.0;            // time spent preprocessing
 
-  // Cube-and-conquer accounting (all 0 when cube_depth == 0).
-  std::uint64_t cubes = 0;          // cubes enumerated across all queries
-  std::uint64_t cubes_refuted = 0;  // cubes individually proven UNSAT
-  double cube_wall_ms = 0.0;        // wall time inside split solves
-
   // Incremental-miter accounting. incremental_rounds / clauses_carried are
   // counted by the solver on every solve() entry (learnt clauses persist
-  // across DIP iterations in all modes); encode_reused counts cone gates
-  // the folding encoder resolved without emitting clauses and is nonzero
-  // only with `incremental`.
+  // across DIP iterations); encode_reused counts cone gates the folding
+  // encoder resolved without emitting clauses.
   std::uint64_t incremental_rounds = 0;  // solve() calls on the miter
   std::uint64_t clauses_carried = 0;     // learnts alive at solve() entry, summed
   std::uint64_t encode_reused = 0;       // folded-away cone gates
@@ -181,9 +168,7 @@ struct AppSatOptions {
   std::uint64_t seed = 1;
   std::size_t portfolio_size = 1;    // as in SatAttackOptions
   bool preprocess = false;           // as in SatAttackOptions
-  std::uint32_t cube_depth = 0;      // as in SatAttackOptions
   std::int64_t deadline_ms = -1;     // as in SatAttackOptions
-  bool incremental = false;          // as in SatAttackOptions
   /// As in SatAttackOptions: batches each random-sampling round's
   /// `random_queries` probes (and all vote replicas) into query_batch
   /// flushes. AppSAT has no dip_batch — the check_period interleave wants

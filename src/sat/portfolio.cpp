@@ -69,12 +69,6 @@ bool PortfolioSolver::simplify(const SimplifyOptions& opts) {
   return ok0;
 }
 
-void PortfolioSolver::adopt_simplification_from(const Solver& src) {
-  for (auto& s : solvers_) s->adopt_simplification_from(src);
-  for (std::size_t i = 0; i < solvers_.size(); ++i)
-    unit_cursor_[i] = solvers_[i]->root_trail().size();
-}
-
 void PortfolioSolver::set_deadline(std::chrono::steady_clock::time_point tp) {
   has_deadline_ = true;
   deadline_ = tp;

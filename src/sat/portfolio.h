@@ -74,18 +74,6 @@ class PortfolioSolver : public ClauseSink {
   bool simplify();
   bool simplify(const SimplifyOptions& opts);
 
-  /// Copies an externally simplified database into EVERY instance (the
-  /// cube layer simplifies lane 0 once and fans the result out to its
-  /// sibling lanes). `src` must have the same variable count.
-  void adopt_simplification_from(const Solver& src);
-
-  /// Lookahead cube splitting on instance 0 (see Solver::pick_cube_vars);
-  /// all instances hold the same formula, so one answer fits all.
-  std::vector<Var> pick_cube_vars(std::size_t count, std::span<const Lit> avoid,
-                                  std::uint32_t candidates = 32) {
-    return solvers_[0]->pick_cube_vars(count, avoid, candidates);
-  }
-
   /// Races the instances in lockstep epochs. conflict_budget < 0 means
   /// unlimited; otherwise it caps the conflicts of EACH instance for this
   /// call, and kUnknown is returned once every instance has exhausted it

@@ -67,13 +67,6 @@ struct SolverStats {
   std::uint64_t simplify_strengthened = 0;
   double simplify_ms = 0.0;
 
-  // Cube-and-conquer (sat/cube.h) counters — a plain Solver never fills
-  // these; CubeSolver::stats() merges them in so every consumer reports
-  // splitting effort alongside the search counters.
-  std::uint64_t cubes = 0;          ///< cubes enumerated by split solves
-  std::uint64_t cubes_refuted = 0;  ///< cubes individually proven UNSAT
-  double cube_wall_ms = 0.0;        ///< wall time inside split solves
-
   // Incremental-solving counters. Learnt clauses persist across solve()
   // calls on the same instance (only simplify() and
   // adopt_simplification_from() drop them), so clauses_carried — the
@@ -166,22 +159,6 @@ class Solver : public ClauseSink {
 
   /// True once v has been resolved out by simplify().
   bool is_eliminated(Var v) const { return eliminated_[v] != 0; }
-
-  // --- cube-and-conquer splitting (sat/cube.cpp) --------------------------
-
-  /// Lookahead-style cube splitting: picks up to `count` branching
-  /// variables for a 2^count-way case split of the current formula.
-  /// Candidates are ranked by clause-length-weighted occurrence counts,
-  /// then the top `candidates` are probed (propagate each polarity at a
-  /// fresh decision level, march-style) and the `count` best propagators
-  /// win. Variables that are assigned, eliminated by simplify(), or whose
-  /// var appears in `avoid` (the caller's assumptions) are never picked,
-  /// so the split composes with preprocessing and assumption solving.
-  /// Ties break on ascending index — the choice is fully deterministic.
-  /// Returns fewer than `count` vars (possibly none) when the formula has
-  /// too few splittable variables.
-  std::vector<Var> pick_cube_vars(std::size_t count, std::span<const Lit> avoid,
-                                  std::uint32_t candidates = 32);
 
   /// Copies the simplified clause database (and everything needed to keep
   /// searching + reconstructing models) from `src`, which must have the

@@ -103,9 +103,14 @@ std::uint64_t job_config_hash(const AttackJob& job) {
   hash_u64(&buf, res.max_evictions);
   hash_u64(&buf, res.degraded_samples);
   hash_u64(&buf, app ? job.appsat.portfolio_size : job.sat.portfolio_size);
-  hash_u64(&buf, app ? job.appsat.cube_depth : job.sat.cube_depth);
+  // The next two slots once hashed the cube-split depth and the
+  // constant-folding switch. The attacks now always fold and never split,
+  // so they hash the constants 0 and 1: checkpoints written with folding
+  // on and no splitting still resume, and any other old checkpoint is
+  // refused as a config mismatch instead of diverging on replay.
+  hash_u64(&buf, 0);
   hash_u64(&buf, (app ? job.appsat.preprocess : job.sat.preprocess) ? 1 : 0);
-  hash_u64(&buf, (app ? job.appsat.incremental : job.sat.incremental) ? 1 : 0);
+  hash_u64(&buf, 1);
   // Batching changes the oracle-traffic trajectory (flush boundaries and,
   // with dip_batch > 1, which DIPs get asked), so a checkpoint taken at
   // one setting must not resume at another. The result cache is NOT

@@ -210,19 +210,16 @@ TEST(Batch, BudgetedOracleChargesOnlyTheFittingPrefix) {
 TEST(Batch, AttackBatchedMatchesSerialAcrossGrid) {
   // With oracle_batch on (dip_batch = 1) and no retryable errors firing,
   // the attack trajectory is byte-identical to serial execution — across
-  // thread counts, portfolio, cube, and majority votes.
+  // thread counts, portfolio, and majority votes.
   const LockedCircuit lc = multi_dip_lock();
   struct Config {
     std::size_t threads, portfolio, votes;
-    std::uint32_t cube;
   };
-  const Config grid[] = {
-      {1, 1, 1, 0}, {3, 2, 1, 0}, {3, 1, 1, 2}, {1, 1, 3, 0}, {3, 2, 3, 0}};
+  const Config grid[] = {{1, 1, 1}, {3, 2, 1}, {3, 1, 1}, {1, 1, 3}, {3, 2, 3}};
   for (const Config& cfg : grid) {
     set_parallel_threads(cfg.threads);
     SatAttackOptions opts;
     opts.portfolio_size = cfg.portfolio;
-    opts.cube_depth = cfg.cube;
     opts.resilience.votes = cfg.votes;
 
     GoldenOracle serial_oracle(lc);
@@ -325,6 +322,24 @@ TEST(Batch, DipBatchHonorsIterationLimit) {
   const SatAttackResult r = sat_attack(lc, oracle, opts);
   EXPECT_LE(r.iterations, 3u);
   EXPECT_EQ(r.status, SatAttackResult::Status::kIterationLimit);
+}
+
+TEST(Batch, DipBatchSplitsDistinctWrongKeysOnSarlock) {
+  // Every harvested DIP must split the candidate key pair on an input
+  // where the earlier DIPs of its round did not. Each SARLock DIP rules
+  // out exactly one wrong key, so a round of 8 rules out 8 different
+  // ones: 2^6 - 1 DIPs in ceil(63 / 8) = 8 flushes, plus one of slack.
+  const LockedCircuit lc = lock_sarlock(small_circuit(90), 6, 91);
+  GoldenOracle oracle(lc);
+  SatAttackOptions opts;
+  opts.oracle_batch = true;
+  opts.dip_batch = 8;
+  const SatAttackResult r = sat_attack(lc, oracle, opts);
+  ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound);
+  // Only the correct key leaves no SARLock input corrupted.
+  EXPECT_EQ(r.key, lc.correct_key);
+  EXPECT_EQ(r.iterations, (std::size_t{1} << 6) - 1);
+  EXPECT_LE(r.oracle_round_trips, 9u);
 }
 
 TEST(Batch, DefaultsOffChangeNothing) {

@@ -2,7 +2,7 @@
 // surface as kSolverBudget (attacks) / aborted (ATPG) — never as
 // kInconsistentOracle, which is reserved for a genuinely lying oracle
 // (the OraP signal). Covers all three oracle-guided attacks and the ATPG
-// flow across the threads x portfolio x cube configuration grid, plus the
+// flow across the threads x portfolio configuration grid, plus the
 // AppSAT regression (it used to ignore conflict_budget entirely) and
 // real-budget aborts mid-loop.
 
@@ -33,15 +33,13 @@ Netlist small_circuit(std::uint64_t seed) {
 
 struct GridPoint {
   std::size_t threads, portfolio;
-  std::uint32_t cube;
 };
 
 std::vector<GridPoint> config_grid() {
   std::vector<GridPoint> grid;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}})
     for (const std::size_t portfolio : {std::size_t{1}, std::size_t{3}})
-      for (const std::uint32_t cube : {0u, 2u})
-        grid.push_back({threads, portfolio, cube});
+      grid.push_back({threads, portfolio});
   return grid;
 }
 
@@ -57,11 +55,9 @@ TEST(Budget, ZeroBudgetSurfacesAsSolverBudgetAcrossGrid) {
     SatAttackOptions sat_opts;
     sat_opts.conflict_budget = 0;
     sat_opts.portfolio_size = g.portfolio;
-    sat_opts.cube_depth = g.cube;
     AppSatOptions app_opts;
     app_opts.conflict_budget = 0;
     app_opts.portfolio_size = g.portfolio;
-    app_opts.cube_depth = g.cube;
 
     const char* const names[] = {"sat", "appsat", "double_dip"};
     SatAttackResult results[3];
@@ -80,7 +76,7 @@ TEST(Budget, ZeroBudgetSurfacesAsSolverBudgetAcrossGrid) {
     for (int i = 0; i < 3; ++i) {
       EXPECT_EQ(results[i].status, SatAttackResult::Status::kSolverBudget)
           << names[i] << " threads " << g.threads << " portfolio "
-          << g.portfolio << " cube " << g.cube;
+          << g.portfolio;
       EXPECT_NE(results[i].status,
                 SatAttackResult::Status::kInconsistentOracle);
     }
@@ -100,7 +96,6 @@ TEST(Budget, AtpgZeroBudgetAbortsDeterministicallyAcrossGrid) {
     opts.random_words = 16;  // leave real work for the SAT phase
     opts.conflict_budget = 0;
     opts.portfolio_size = g.portfolio;
-    opts.cube_depth = g.cube;
     results.push_back(run_atpg(n, opts));
   }
   set_parallel_threads(0);
@@ -230,7 +225,7 @@ TEST(Budget, DeadlineInQuarantineRepairSurfacesAsSolverBudget) {
 TEST(Budget, NoisyQuarantineAttackIsDeterministicAcrossGrid) {
   // The resilient loop must honor the same determinism contract as the
   // clean one: with a seeded noisy oracle and quarantine on, every
-  // threads x portfolio x cube configuration reproduces the identical
+  // threads x portfolio configuration reproduces the identical
   // trajectory — same status, DIPs, evictions, and recovered key. The
   // noise seed is fixed, so the oracle corrupts the same bits in every
   // run; any divergence would mean the repair loop leaked scheduling
@@ -251,7 +246,6 @@ TEST(Budget, NoisyQuarantineAttackIsDeterministicAcrossGrid) {
     NoisyOracle noisy(golden, 0.01, 0xbadc0ffeULL);
     SatAttackOptions opts;
     opts.portfolio_size = g.portfolio;
-    opts.cube_depth = g.cube;
     opts.resilience.quarantine = true;
     results.push_back(sat_attack(lc, noisy, opts));
   }

@@ -1,16 +1,18 @@
-// Tests for the --incremental attack/ATPG core: the constant-folded
-// persistent-miter SAT attack, the single-solver ATPG, and the
+// Tests for the persistent-solver attack/ATPG core: the constant-folded
+// miter SAT attack, the single-solver ATPG (--incremental), and the
 // assumption-based sensitization attack. The contract under test:
-//   (1) incremental mode reaches the same attack outcome (status + a
-//       functionally correct key / the same fault classification) as the
-//       default rebuild-per-query mode, and
-//   (2) within one incremental setting the result is bit-identical across
-//       the threads x portfolio x cube grid, and
-//   (3) the new accounting (incremental_rounds / clauses_carried /
+//   (1) every recovered key is exactly equivalent to the correct one
+//       (exhaustive simulation: these circuits have <= 22 data inputs),
+//       and ATPG reaches the same fault classification with or without
+//       its persistent solver,
+//   (2) the attack result is bit-identical across the threads x
+//       portfolio grid, and
+//   (3) the accounting (incremental_rounds / clauses_carried /
 //       encode_reused) actually counts something.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "atpg/atpg.h"
@@ -19,6 +21,7 @@
 #include "attacks/simple_attacks.h"
 #include "gen/circuit_gen.h"
 #include "locking/locking.h"
+#include "netlist/simulator.h"
 #include "util/parallel.h"
 
 namespace orap {
@@ -34,42 +37,61 @@ Netlist small_circuit(std::uint64_t seed, std::size_t gates = 300) {
   return generate_circuit(spec);
 }
 
+/// Exact key check: locked(key) and locked(correct_key) agree on every
+/// data input. Word w of the sweep carries patterns 64w .. 64w+63: data
+/// input i < 6 follows the lane index bits, input i >= 6 bit i-6 of w.
+bool key_exactly_equivalent(const LockedCircuit& lc, const BitVec& key) {
+  const std::size_t nd = lc.num_data_inputs;
+  if (nd > 22) ADD_FAILURE() << "too many data inputs for exhaustive check";
+  Simulator a(lc.netlist), b(lc.netlist);
+  for (std::size_t i = 0; i < lc.num_key_inputs; ++i) {
+    a.set_input_word(nd + i, key.get(i) ? ~0ULL : 0ULL);
+    b.set_input_word(nd + i, lc.correct_key.get(i) ? ~0ULL : 0ULL);
+  }
+  std::uint64_t lane_bits[6] = {};
+  for (std::size_t i = 0; i < 6; ++i)
+    for (std::size_t lane = 0; lane < 64; ++lane)
+      if ((lane >> i) & 1) lane_bits[i] |= std::uint64_t{1} << lane;
+  const std::uint64_t words = nd <= 6 ? 1 : std::uint64_t{1} << (nd - 6);
+  for (std::uint64_t w = 0; w < words; ++w) {
+    for (std::size_t i = 0; i < nd; ++i) {
+      const std::uint64_t v =
+          i < 6 ? lane_bits[i] : (((w >> (i - 6)) & 1) != 0 ? ~0ULL : 0ULL);
+      a.set_input_word(i, v);
+      b.set_input_word(i, v);
+    }
+    a.run();
+    b.run();
+    for (std::size_t o = 0; o < lc.netlist.num_outputs(); ++o)
+      if (a.output_word(o) != b.output_word(o)) return false;
+  }
+  return true;
+}
+
 struct GridPoint {
   std::size_t threads, portfolio;
-  std::uint32_t cube;
 };
 
 std::vector<GridPoint> config_grid() {
   std::vector<GridPoint> grid;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}})
     for (const std::size_t portfolio : {std::size_t{1}, std::size_t{3}})
-      for (const std::uint32_t cube : {0u, 2u})
-        grid.push_back({threads, portfolio, cube});
+      grid.push_back({threads, portfolio});
   return grid;
 }
 
-TEST(Incremental, SatAttackMatchesRebuildModeAndCountsReuse) {
+TEST(Incremental, SatAttackKeyIsExactAndCountsReuse) {
   const Netlist n = small_circuit(80);
   const LockedCircuit lc = lock_weighted(n, 14, 3, 81);
-  SatAttackResult results[2];
-  for (const bool inc : {false, true}) {
-    GoldenOracle oracle(lc);
-    SatAttackOptions opts;
-    opts.incremental = inc;
-    results[inc ? 1 : 0] = sat_attack(lc, oracle, opts);
-  }
-  for (const auto& r : results) {
-    ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound);
-    GoldenOracle verify(lc);
-    EXPECT_EQ(verify_key_against_oracle(lc, r.key, verify, 128, 5), 0u);
-  }
+  GoldenOracle oracle(lc);
+  const SatAttackResult r = sat_attack(lc, oracle);
+  ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound);
+  EXPECT_TRUE(key_exactly_equivalent(lc, r.key));
   // The folded encoding must actually fold: constant key-independent
   // cones never reach the solver, and learnts survive across DIP rounds.
-  EXPECT_GT(results[1].encode_reused, 0u);
-  EXPECT_GT(results[1].clauses_carried, 0u);
-  EXPECT_GT(results[1].incremental_rounds, 0u);
-  // The rebuild path encodes every constrained gate, folding none.
-  EXPECT_EQ(results[0].encode_reused, 0u);
+  EXPECT_GT(r.encode_reused, 0u);
+  EXPECT_GT(r.clauses_carried, 0u);
+  EXPECT_GT(r.incremental_rounds, 0u);
 }
 
 TEST(Incremental, AppSatAndDoubleDipRecoverKeysIncrementally) {
@@ -77,78 +99,56 @@ TEST(Incremental, AppSatAndDoubleDipRecoverKeysIncrementally) {
   const LockedCircuit lc = lock_weighted(n, 12, 3, 83);
   {
     GoldenOracle oracle(lc);
-    AppSatOptions opts;
-    opts.incremental = true;
-    const SatAttackResult r = appsat_attack(lc, oracle, opts);
+    const SatAttackResult r = appsat_attack(lc, oracle);
     ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound);
-    GoldenOracle verify(lc);
-    EXPECT_EQ(verify_key_against_oracle(lc, r.key, verify, 128, 5), 0u);
+    EXPECT_TRUE(key_exactly_equivalent(lc, r.key));
     EXPECT_GT(r.encode_reused, 0u);
   }
   {
     GoldenOracle oracle(lc);
-    SatAttackOptions opts;
-    opts.incremental = true;
-    const SatAttackResult r = double_dip_attack(lc, oracle, opts);
+    const SatAttackResult r = double_dip_attack(lc, oracle);
     ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound);
-    GoldenOracle verify(lc);
-    EXPECT_EQ(verify_key_against_oracle(lc, r.key, verify, 128, 5), 0u);
+    EXPECT_TRUE(key_exactly_equivalent(lc, r.key));
     EXPECT_GT(r.encode_reused, 0u);
   }
 }
 
 TEST(Incremental, SatAttackBitIdenticalAcrossGridPerSetting) {
-  // Within one incremental setting the whole trajectory must reproduce at
-  // every threads x portfolio x cube point; across the two settings the
-  // CNF differs (folded vs full), so only the outcome is compared.
+  // The whole trajectory must reproduce at every threads x portfolio
+  // point.
   const Netlist n = small_circuit(84);
   const LockedCircuit lc = lock_weighted(n, 14, 3, 85);
-  for (const bool inc : {false, true}) {
-    std::vector<SatAttackResult> results;
-    for (const GridPoint g : config_grid()) {
-      set_parallel_threads(g.threads);
-      GoldenOracle oracle(lc);
-      SatAttackOptions opts;
-      opts.incremental = inc;
-      opts.portfolio_size = g.portfolio;
-      opts.cube_depth = g.cube;
-      results.push_back(sat_attack(lc, oracle, opts));
-    }
-    set_parallel_threads(0);
-    ASSERT_EQ(results[0].status, SatAttackResult::Status::kKeyFound)
-        << "incremental " << inc;
-    for (std::size_t i = 1; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].status, results[0].status)
-          << "incremental " << inc << " grid point " << i;
-      EXPECT_EQ(results[i].iterations, results[0].iterations)
-          << "incremental " << inc << " grid point " << i;
-      EXPECT_EQ(results[i].key, results[0].key)
-          << "incremental " << inc << " grid point " << i;
-      EXPECT_EQ(results[i].oracle_queries, results[0].oracle_queries)
-          << "incremental " << inc << " grid point " << i;
-    }
+  std::vector<SatAttackResult> results;
+  for (const GridPoint g : config_grid()) {
+    set_parallel_threads(g.threads);
+    GoldenOracle oracle(lc);
+    SatAttackOptions opts;
+    opts.portfolio_size = g.portfolio;
+    results.push_back(sat_attack(lc, oracle, opts));
+  }
+  set_parallel_threads(0);
+  ASSERT_EQ(results[0].status, SatAttackResult::Status::kKeyFound);
+  EXPECT_TRUE(key_exactly_equivalent(lc, results[0].key));
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].status, results[0].status) << "grid point " << i;
+    EXPECT_EQ(results[i].iterations, results[0].iterations)
+        << "grid point " << i;
+    EXPECT_EQ(results[i].key, results[0].key) << "grid point " << i;
+    EXPECT_EQ(results[i].oracle_queries, results[0].oracle_queries)
+        << "grid point " << i;
   }
 }
 
 TEST(Incremental, SarlockStillHitsTheExponentialWall) {
-  // Folding must not change what the attack can infer: SARLock still
-  // costs ~2^k DIPs, and both modes land on the same DIP count (each DIP
-  // eliminates exactly one wrong key regardless of encoding).
+  // Folding must not change what the attack can infer: each SARLock DIP
+  // eliminates exactly one wrong key, so the attack needs exactly 2^k - 1.
   const Netlist n = small_circuit(86);
   const LockedCircuit lc = lock_sarlock(n, 6, 87);
-  std::size_t dips[2];
-  for (const bool inc : {false, true}) {
-    GoldenOracle oracle(lc);
-    SatAttackOptions opts;
-    opts.incremental = inc;
-    const SatAttackResult r = sat_attack(lc, oracle, opts);
-    ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound);
-    GoldenOracle verify(lc);
-    EXPECT_EQ(verify_key_against_oracle(lc, r.key, verify, 128, 5), 0u);
-    dips[inc ? 1 : 0] = r.iterations;
-  }
-  EXPECT_GE(dips[1], (std::size_t{1} << 6) - 1);
-  EXPECT_EQ(dips[0], dips[1]);
+  GoldenOracle oracle(lc);
+  const SatAttackResult r = sat_attack(lc, oracle);
+  ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound);
+  EXPECT_TRUE(key_exactly_equivalent(lc, r.key));
+  EXPECT_EQ(r.iterations, (std::size_t{1} << 6) - 1);
 }
 
 TEST(Incremental, AtpgMatchesNonIncrementalClassification) {

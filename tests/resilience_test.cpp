@@ -18,7 +18,7 @@
 #include "chip/chip.h"
 #include "gen/circuit_gen.h"
 #include "locking/locking.h"
-#include "sat/cube.h"
+#include "sat/portfolio.h"
 #include "sat/solver.h"
 #include "util/check.h"
 #include "util/parallel.h"
@@ -418,6 +418,44 @@ TEST(Resilience, EvictionCapDegradesToApproximateKey) {
   EXPECT_LE(r.oracle_error_rate, 1.0);
 }
 
+TEST(Resilience, RecordTimeEvictionsRespectMaxEvictions) {
+  // A response no key can explain is quarantined the moment it is
+  // recorded, without any repair round. Those evictions count against
+  // max_evictions too: no attack may report kKeyFound after evicting more
+  // pairs than allowed. With a cap of 0 the SAT attack on this fixture
+  // evicts at record time, so it must end in kDegraded.
+  const LockedCircuit lc = lock_weighted(small_circuit(71), 14, 3, 72);
+  const char* const names[] = {"sat", "appsat", "double_dip"};
+  std::size_t over_cap = 0;
+  for (const std::size_t cap :
+       {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      GoldenOracle golden(lc);
+      NoisyOracle noisy(golden, 0.1, 0x5eedULL);
+      SatAttackOptions opts;
+      opts.resilience.quarantine = true;
+      opts.resilience.max_evictions = cap;
+      opts.resilience.degraded_samples = 32;
+      AppSatOptions app_opts;
+      app_opts.resilience = opts.resilience;
+      const SatAttackResult r =
+          kind == 0   ? sat_attack(lc, noisy, opts)
+          : kind == 1 ? appsat_attack(lc, noisy, app_opts)
+                      : double_dip_attack(lc, noisy, opts);
+      if (r.evicted_pairs > cap) {
+        ++over_cap;
+        EXPECT_NE(r.status, SatAttackResult::Status::kKeyFound)
+            << names[kind] << " cap " << cap;
+      }
+      if (kind == 0 && cap == 0) {
+        EXPECT_EQ(r.status, SatAttackResult::Status::kDegraded);
+        EXPECT_EQ(r.key.size(), lc.num_key_inputs);
+      }
+    }
+  }
+  EXPECT_GT(over_cap, 0u);  // the noise really pushed attacks past the cap
+}
+
 TEST(Resilience, ResilienceDefaultsOffChangeNothing) {
   // A default OracleResilienceOptions must be bit-transparent: same
   // status, key, iteration count and query count as the pre-resilience
@@ -460,10 +498,9 @@ TEST(Resilience, ExpiredSolverDeadlineReturnsUnknown) {
     EXPECT_EQ(s.solve(), sat::Solver::Result::kSat);
   }
   {
-    sat::CubeOptions co;
-    co.depth = 2;
-    co.portfolio.size = 3;
-    sat::CubeSolver s(co);
+    sat::PortfolioOptions po;
+    po.size = 3;
+    sat::PortfolioSolver s(po);
     const sat::Var a = s.new_var();
     const sat::Var b = s.new_var();
     s.add_clause({sat::pos(a), sat::pos(b)});

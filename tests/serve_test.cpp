@@ -2,7 +2,7 @@
 // malformed-input rejection, OracleServer + RemoteOracle over a real fd
 // transport (attacks recover the identical key through the wire), and the
 // checkpoint/resume layer (attacks/checkpoint.h): interrupting an attack
-// at several DIP counts across the threads x portfolio x cube grid and
+// at several DIP counts across the threads x portfolio grid and
 // resuming to a byte-identical final key, status, and counters, plus
 // rejection of corrupted, truncated, and foreign checkpoint files.
 // Every test is named Serve.* or Checkpoint.* so CI's sanitizer legs can
@@ -27,6 +27,7 @@
 #include "attacks/sat_attack.h"
 #include "gen/circuit_gen.h"
 #include "locking/locking.h"
+#include "serve/job_server.h"
 #include "serve/oracle_server.h"
 #include "serve/remote_oracle.h"
 #include "serve/transport.h"
@@ -517,14 +518,12 @@ TEST(Checkpoint, ResumesByteIdenticalAcrossGridAndDipCounts) {
 
   struct Config {
     std::size_t threads, portfolio;
-    std::uint32_t cube;
   };
-  const Config grid[] = {{1, 1, 0}, {3, 2, 0}, {3, 1, 2}};
+  const Config grid[] = {{1, 1}, {3, 2}, {3, 1}};
   for (const Config& cfg : grid) {
     set_parallel_threads(cfg.threads);
     SatAttackOptions opts;
     opts.portfolio_size = cfg.portfolio;
-    opts.cube_depth = cfg.cube;
 
     GoldenOracle g_ref(lc);
     CheckpointedOracle ref(g_ref, /*config_hash=*/77);
@@ -559,7 +558,7 @@ TEST(Checkpoint, ResumesByteIdenticalAcrossGridAndDipCounts) {
       EXPECT_FALSE(res.diverged());
       EXPECT_EQ(res.transcript_size(), total)
           << "threads=" << cfg.threads << " portfolio=" << cfg.portfolio
-          << " cube=" << cfg.cube << " kill_at=" << kill_at;
+          << " kill_at=" << kill_at;
     }
   }
   set_parallel_threads(0);
@@ -704,6 +703,55 @@ TEST(Checkpoint, FileRoundTripAndAutosave) {
   EXPECT_EQ(dst.replay_remaining(), 0u);
   EXPECT_FALSE(dst.diverged());
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, JobServerResumesFreshCheckpointByteIdentical) {
+  // A checkpoint written under today's job config hash — here by an attack
+  // killed mid-run — is picked up by the job server, replayed, and
+  // finished with the byte-identical result of an uninterrupted run.
+  const LockedCircuit lc = multi_dip_lock();
+  serve::AttackJob job;
+  job.id = "orap_job_resume_test";
+  job.circuit = &lc;
+  serve::JobServerOptions jopts;
+  jopts.checkpoint_dir = ::testing::TempDir();
+  const serve::JobServer js(jopts);
+  const std::string path = jopts.checkpoint_dir + "/" + job.id + ".ckpt";
+  std::remove(path.c_str());
+
+  GoldenOracle g_ref(lc);
+  const SatAttackResult want = sat_attack(lc, g_ref, job.sat);
+  ASSERT_EQ(want.status, SatAttackResult::Status::kKeyFound);
+  const std::size_t kill_at = want.oracle_queries / 2;
+  ASSERT_GE(kill_at, 1u);
+  {
+    GoldenOracle g_part(lc);
+    KillSwitch kill(g_part, kill_at);
+    CheckpointedOracle part(kill, serve::job_config_hash(job));
+    EXPECT_THROW(sat_attack(lc, part, job.sat), std::runtime_error);
+    ASSERT_TRUE(part.save_file(path));
+  }
+  const serve::JobResult got = js.run_job(job);
+  EXPECT_TRUE(got.resumed);
+  EXPECT_FALSE(got.checkpoint_rejected);
+  EXPECT_EQ(got.replayed_queries, kill_at);
+  expect_same_result(got.result, want);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ConfigHashKeepsFoldedNoCubeSlots) {
+  // The attacks always constant-fold and never cube-split; the config
+  // hash pins those two retired option slots at fold = 1 / cube = 0. These
+  // are the hashes of the same jobs written with folding switched on and
+  // no cube splitting, so such checkpoints still resume; every other
+  // setting of the two slots is refused as a config mismatch.
+  const LockedCircuit lc = multi_dip_lock();
+  serve::AttackJob sat;
+  sat.circuit = &lc;
+  serve::AttackJob app = sat;
+  app.kind = serve::AttackJob::Kind::kAppSat;
+  EXPECT_EQ(serve::job_config_hash(sat), 0x02b98117f7ebc75cULL);
+  EXPECT_EQ(serve::job_config_hash(app), 0xa0024816395ae0e4ULL);
 }
 
 TEST(Serve, BatchedSatAttackOverTransportMatchesLocal) {

@@ -68,48 +68,27 @@ PRE_OUT="$PREFIX/attack_suite_pre.json"
 python3 -m json.tool "$PRE_OUT" >/dev/null
 grep -q '"preprocess": 1' "$PRE_OUT"
 
-# Cube-and-conquer determinism smoke: the same attack suite with every
-# SAT query split into 4 cubes must produce a byte-identical "results"
-# object at 1 and 4 pool threads (the results carry statuses, DIP counts
-# and cube counters — no timing — so any divergence is a real
-# determinism regression).
-echo "==== [plain] attack suite --cube determinism smoke ===="
-CUBE_OUT1="$PREFIX/attack_suite_cube_t1.json"
-CUBE_OUT4="$PREFIX/attack_suite_cube_t4.json"
-"$PREFIX/bench/attack_suite" --scale=0.05 --cube=2 --threads=1 \
-  --json="$CUBE_OUT1" >/dev/null
-"$PREFIX/bench/attack_suite" --scale=0.05 --cube=2 --threads=4 \
-  --json="$CUBE_OUT4" >/dev/null
-python3 - "$CUBE_OUT1" "$CUBE_OUT4" <<'EOF'
+# Attack-core determinism smoke: the default attack suite (one persistent
+# miter solver, constant-folded oracle constraints) must produce a
+# byte-identical "results" object at 1 and 4 pool threads, and its
+# counters must be live (clauses carried across DIP rounds,
+# constant-folded cone gates).
+echo "==== [plain] attack suite determinism smoke ===="
+CORE_OUT1="$PREFIX/attack_suite_t1.json"
+CORE_OUT4="$PREFIX/attack_suite_t4.json"
+"$PREFIX/bench/attack_suite" --scale=0.05 --threads=1 \
+  --json="$CORE_OUT1" >/dev/null
+"$PREFIX/bench/attack_suite" --scale=0.05 --threads=4 \
+  --json="$CORE_OUT4" >/dev/null
+python3 - "$CORE_OUT1" "$CORE_OUT4" <<'EOF'
 import json, sys
 a, b = (json.load(open(p)) for p in sys.argv[1:3])
-assert a["cube"] == b["cube"] == 2, "cube flag missing from the record"
 assert a["results"] == b["results"], \
-    "attack_suite --cube=2 results differ between 1 and 4 threads"
-EOF
-
-# Incremental-core determinism smoke: the persistent single-solver attack
-# path (--incremental=1) must also produce a byte-identical "results"
-# object at 1 and 4 pool threads, and its new counters must be live
-# (clauses carried across DIP rounds, constant-folded cone gates).
-echo "==== [plain] attack suite --incremental determinism smoke ===="
-INC_OUT1="$PREFIX/attack_suite_inc_t1.json"
-INC_OUT4="$PREFIX/attack_suite_inc_t4.json"
-"$PREFIX/bench/attack_suite" --scale=0.05 --incremental=1 --threads=1 \
-  --json="$INC_OUT1" >/dev/null
-"$PREFIX/bench/attack_suite" --scale=0.05 --incremental=1 --threads=4 \
-  --json="$INC_OUT4" >/dev/null
-python3 - "$INC_OUT1" "$INC_OUT4" <<'EOF'
-import json, sys
-a, b = (json.load(open(p)) for p in sys.argv[1:3])
-assert a["incremental"] == b["incremental"] == 1, \
-    "incremental flag missing from the record"
-assert a["results"] == b["results"], \
-    "attack_suite --incremental=1 results differ between 1 and 4 threads"
+    "attack_suite results differ between 1 and 4 threads"
 assert a["results"]["golden_clauses_carried"] > 0, \
-    "incremental attack carried no learnt clauses"
+    "attack carried no learnt clauses"
 assert a["results"]["golden_encode_reused"] > 0, \
-    "incremental attack folded no cone gates"
+    "attack folded no cone gates"
 EOF
 
 # SIMD dispatch A/B: the scalar kernel table must produce the same attack
@@ -137,7 +116,7 @@ EOF
 # bench and require the SFLL-HD(k,h) literature laws (resilience
 # 2^k/C(k,h) falls as h -> k/2, error rate rises, resilience grows with k).
 echo "==== [plain] scheme zoo smoke ===="
-python3 - "$CUBE_OUT1" <<'EOF'
+python3 - "$CORE_OUT1" <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))["results"]
 assert any("sfll" in k for k in r) and any("kgate" in k for k in r), \
@@ -160,16 +139,6 @@ for flag in ("zoo_sfll_resilience_falls_with_h", "zoo_sfll_err_rises_with_h",
 assert r["zoo_sfll_k10_h0_dips"] > 100, "TTLock row lost its SAT resilience"
 assert r["zoo_weighted_dips"] <= 4, "weighted locking should fall in a few DIPs"
 EOF
-
-# Cube-scaling baseline record: dip_scaling with --cube=2, the same grid
-# that produced BENCH_cube_scaling.json (wall times vary per machine; the
-# JSON just has to be well-formed and carry the cube counters).
-echo "==== [plain] dip_scaling --cube baseline smoke ===="
-CUBE_SCALING="$PREFIX/BENCH_cube_scaling.json"
-"$PREFIX/bench/dip_scaling" --scale=0.05 --cube=2 \
-  --json="$CUBE_SCALING" >/dev/null
-python3 -m json.tool "$CUBE_SCALING" >/dev/null
-grep -q '"cubes":' "$CUBE_SCALING"
 
 # Oracle-resilience smoke: the noise x votes x quarantine sweep must run
 # end-to-end (baseline dies on a noisy oracle, quarantine recovers) and
@@ -362,7 +331,7 @@ echo "==== [plain] engine_micro smoke ===="
 if [[ "$RUN_TSAN" == "1" ]]; then
   CTEST_EXTRA=()
   # The budget-path and oracle-resilience regression suites always run
-  # under TSan (their grids span threads x portfolio x cube, exactly the
+  # under TSan (their grids span threads x portfolio, exactly the
   # surface where a data race would corrupt budget accounting or the
   # quarantine repair loop), even when a filter trims the rest.
   # The serve suites join too: the oracle server runs on its own thread

@@ -35,7 +35,7 @@
 
 #include "atpg/atpg.h"
 #include "chip/chip.h"
-#include "sat/cube.h"
+#include "sat/portfolio.h"
 #include "sat/dimacs.h"
 #include "attacks/checkpoint.h"
 #include "attacks/faulty_oracle.h"
@@ -322,7 +322,6 @@ int cmd_atpg(const Args& a) {
   opts.seed = a.get_num("seed", 1);
   opts.portfolio_size = a.get_num("portfolio", 1);
   opts.preprocess = a.get_num("preprocess", 0) != 0;
-  opts.cube_depth = static_cast<std::uint32_t>(a.get_num("cube", 0));
   opts.incremental = a.get_num("incremental", 0) != 0;
   if (a.has("deadline-ms"))
     opts.deadline_ms = static_cast<std::int64_t>(a.get_num("deadline-ms", 0));
@@ -532,8 +531,6 @@ int cmd_attack(const Args& a) {
                         : -1;
     opts.portfolio_size = a.get_num("portfolio", 1);
     opts.preprocess = a.get_num("preprocess", 0) != 0;
-    opts.cube_depth = static_cast<std::uint32_t>(a.get_num("cube", 0));
-    opts.incremental = a.get_num("incremental", 0) != 0;
     if (a.has("deadline-ms"))
       opts.deadline_ms = static_cast<std::int64_t>(a.get_num("deadline-ms", 0));
     opts.resilience.retries = a.get_num("oracle-retries", 0);
@@ -551,9 +548,7 @@ int cmd_attack(const Args& a) {
       app_opts.conflict_budget = opts.conflict_budget;
       app_opts.portfolio_size = opts.portfolio_size;
       app_opts.preprocess = opts.preprocess;
-      app_opts.cube_depth = opts.cube_depth;
       app_opts.deadline_ms = opts.deadline_ms;
-      app_opts.incremental = opts.incremental;
       app_opts.oracle_batch = opts.oracle_batch;
       app_opts.resilience = opts.resilience;
       r = appsat_attack(lc, oracle, app_opts);
@@ -603,12 +598,11 @@ int cmd_attack(const Args& a) {
                   r.solver_vars,
                   static_cast<unsigned long long>(r.removed_clauses),
                   r.simplify_ms);
-    if (opts.incremental)
-      std::printf("incremental: %llu solver rounds, %llu learnts carried, "
-                  "%llu cone gates folded away\n",
-                  static_cast<unsigned long long>(r.incremental_rounds),
-                  static_cast<unsigned long long>(r.clauses_carried),
-                  static_cast<unsigned long long>(r.encode_reused));
+    std::printf("incremental: %llu solver rounds, %llu learnts carried, "
+                "%llu cone gates folded away\n",
+                static_cast<unsigned long long>(r.incremental_rounds),
+                static_cast<unsigned long long>(r.clauses_carried),
+                static_cast<unsigned long long>(r.encode_reused));
     if (r.status != SatAttackResult::Status::kKeyFound &&
         r.status != SatAttackResult::Status::kDegraded)
       return 1;
@@ -999,14 +993,12 @@ int cmd_protect(const Args& a) {
 int cmd_solve(const Args& a) {
   if (a.positional.empty())
     die("usage: orap solve <file.cnf> [--budget N] [--portfolio N] "
-        "[--cube D] [--preprocess]");
+        "[--preprocess]");
   std::ifstream is(a.positional[0]);
   if (!is.good()) die("cannot read " + a.positional[0]);
   const sat::Cnf cnf = sat::read_dimacs(is);
-  sat::CubeOptions co;
-  co.depth = static_cast<std::uint32_t>(a.get_num("cube", 0));
-  co.portfolio.size = a.get_num("portfolio", 1);
-  sat::CubeSolver s(co);
+  sat::PortfolioSolver s(
+      sat::PortfolioOptions{.size = a.get_num("portfolio", 1)});
   if (!cnf.load_into(s)) {
     std::puts("s UNSATISFIABLE");
     return 20;
@@ -1064,12 +1056,11 @@ void usage() {
       "  orap resynth <in.bench> [-o out.bench]\n"
       "  orap hd      <locked.bench> --key key.txt [--words N] [--keys N]\n"
       "  orap atpg    <in.bench> [--random-words N] [--budget B] "
-      "[--portfolio N] [--cube D] [--preprocess] [--incremental] "
+      "[--portfolio N] [--preprocess] [--incremental] "
       "[--deadline-ms T]\n"
       "  orap attack  <locked.bench> --key key.txt [--kind "
       "sat|appsat|doubledip|hillclimb] [--oracle golden|orap] "
-      "[--budget B] [--portfolio N] [--cube D] [--preprocess] "
-      "[--incremental] [--deadline-ms T]\n"
+      "[--budget B] [--portfolio N] [--preprocess] [--deadline-ms T]\n"
       "               [--oracle-noise P] [--oracle-fail-rate P] "
       "[--oracle-retries N] [--oracle-votes N] [--quarantine] "
       "[--oracle-batch] [--dip-batch K]\n"
@@ -1091,21 +1082,20 @@ void usage() {
       "[--json out.json] [--job-retries N] [--job-retry-backoff-ms B]\n"
       "  orap protect <locked.bench> --key key.txt [--variant "
       "basic|modified] — build the OraP chip, report costs\n"
-      "  orap solve   <file.cnf> [--budget N] [--portfolio N] [--cube D] "
+      "  orap solve   <file.cnf> [--budget N] [--portfolio N] "
       "[--preprocess] [--deadline-ms T] — standalone DIMACS SAT solver\n"
       "  orap export  <in.bench> [-o out.v]\n"
       "\n"
       "Global: --threads N sets the parallel pool size (0 = auto; also "
       "settable via ORAP_THREADS).\n--portfolio N races N diversified CDCL "
-      "instances per SAT query in deterministic\nlockstep epochs. --cube D "
-      "splits every SAT query into 2^D cubes by lookahead and\nconquers "
-      "them in parallel (composes with --portfolio). --preprocess 0|1 runs\n"
-      "SatELite-style CNF simplification (variable elimination + "
-      "subsumption) before\nsolving. --incremental 0|1 keeps one persistent "
-      "solver per attack/ATPG run:\nper-query constraints are "
-      "constant-folded (attack) or activation-guarded\n(ATPG) so learnt "
-      "clauses carry across queries. Results are deterministic for\na given "
-      "seed at any thread count.\n"
+      "instances per SAT query in deterministic\nlockstep epochs. "
+      "--preprocess 0|1 runs SatELite-style CNF simplification (variable\n"
+      "elimination + subsumption) before solving. The oracle-guided attacks "
+      "keep one\npersistent miter solver and constant-fold every oracle "
+      "constraint; --incremental 0|1\ndoes the same for ATPG (one solver, "
+      "activation-guarded fault queries) and the\nsensitization attack, so "
+      "learnt clauses carry across queries. Results are\ndeterministic for "
+      "a given seed at any thread count.\n"
       "\n"
       "Oracle resilience (attack): --oracle-noise P / --oracle-fail-rate P "
       "inject seeded\nresponse bit-flips / transient failures into the "
