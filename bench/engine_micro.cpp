@@ -75,8 +75,10 @@ void BM_FaultSimBlock(benchmark::State& state) {
     state.ResumeTiming();
     benchmark::DoNotOptimize(fsim.run_block(words, faults));
   }
+  // Items are pattern*faults (64 patterns against every fault per pass),
+  // the unit BM_FaultSimBlockWide reports too.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(all_faults.size()));
+                          static_cast<std::int64_t>(all_faults.size()) * 64);
 }
 BENCHMARK(BM_FaultSimBlock)->Arg(1000)->Arg(5000);
 
@@ -95,8 +97,10 @@ void BM_FaultSimBlockWide(benchmark::State& state) {
     state.ResumeTiming();
     benchmark::DoNotOptimize(fsim.run_block(words, faults));
   }
+  // Items are pattern*faults: 64*kBlockWords patterns per pass.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(all_faults.size()));
+                          static_cast<std::int64_t>(all_faults.size()) * 64 *
+                          static_cast<std::int64_t>(simd::kBlockWords));
 }
 BENCHMARK(BM_FaultSimBlockWide)->Arg(1000)->Arg(5000);
 
@@ -110,6 +114,20 @@ void BM_AigRewritePass(benchmark::State& state) {
                           static_cast<std::int64_t>(a.num_ands()));
 }
 BENCHMARK(BM_AigRewritePass)->Arg(1000)->Arg(10000);
+
+void BM_Resynthesize(benchmark::State& state) {
+  // The full Table I pipeline (balance, rewrite passes, refactor, rewrite,
+  // balance). Items are input ANDs, the unit of perfbench's
+  // aig.ands_per_s.
+  const Netlist n = bench_circuit(static_cast<std::size_t>(state.range(0)));
+  const aig::Aig a = aig::Aig::from_netlist(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(aig::resynthesize(a).num_ands());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(a.num_ands()));
+}
+BENCHMARK(BM_Resynthesize)->Arg(1000)->Arg(10000);
 
 void BM_CnfEncode(benchmark::State& state) {
   const Netlist n = bench_circuit(static_cast<std::size_t>(state.range(0)));

@@ -4,10 +4,16 @@
 
 namespace orap::aig {
 
-Aig::Aig() {
+Aig::Aig() : strash_(16, 0) {
   // Node 0: constant 0.
   fanin0_.push_back(kNoLit);
   fanin1_.push_back(kNoLit);
+}
+
+void Aig::reserve(std::size_t nodes) {
+  fanin0_.reserve(nodes);
+  fanin1_.reserve(nodes);
+  if (2 * nodes > strash_.size()) rehash(nodes);
 }
 
 std::uint32_t Aig::new_node(AigLit f0, AigLit f1) {
@@ -23,14 +29,33 @@ AigLit Aig::add_pi() {
   return make_lit(node, false);
 }
 
+std::size_t Aig::strash_slot(AigLit a, AigLit b) const {
+  const std::size_t mask = strash_.size() - 1;
+  const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
+  std::size_t i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32);
+  for (;; ++i) {
+    const std::uint32_t node = strash_[i & mask];
+    if (node == 0 || (fanin0_[node] == a && fanin1_[node] == b))
+      return i & mask;
+  }
+}
+
+void Aig::rehash(std::size_t ands) {
+  std::size_t slots = 16;
+  while (slots < 2 * ands) slots *= 2;
+  strash_.assign(slots, 0);
+  for (std::uint32_t node = 1; node < num_nodes(); ++node)
+    if (is_and(node)) strash_[strash_slot(fanin0_[node], fanin1_[node])] = node;
+}
+
 AigLit Aig::find_and(AigLit a, AigLit b) const {
   if (a > b) std::swap(a, b);
   if (a == kLitFalse) return kLitFalse;
   if (a == kLitTrue) return b;
   if (a == b) return a;
   if (a == lit_not(b)) return kLitFalse;
-  const auto it = strash_.find({a, b});
-  return it == strash_.end() ? kNoLit : make_lit(it->second, false);
+  const std::uint32_t node = strash_[strash_slot(a, b)];
+  return node == 0 ? kNoLit : make_lit(node, false);
 }
 
 AigLit Aig::and2(AigLit a, AigLit b) {
@@ -40,11 +65,15 @@ AigLit Aig::and2(AigLit a, AigLit b) {
   if (a == b) return a;
   if (a == lit_not(b)) return kLitFalse;
   ORAP_DCHECK(lit_node(b) < num_nodes());
-  const auto it = strash_.find({a, b});
-  if (it != strash_.end()) return make_lit(it->second, false);
+  const std::size_t slot = strash_slot(a, b);
+  if (strash_[slot] != 0) return make_lit(strash_[slot], false);
   const std::uint32_t node = new_node(a, b);
-  strash_.emplace(std::make_pair(a, b), node);
   ++num_ands_;
+  if (2 * num_ands_ > strash_.size()) {
+    rehash(2 * num_ands_);
+  } else {
+    strash_[slot] = node;
+  }
   return make_lit(node, false);
 }
 
@@ -218,6 +247,7 @@ Aig Aig::cleanup() const {
     }
   }
   Aig out;
+  out.reserve(num_nodes());
   std::vector<AigLit> map(num_nodes(), kNoLit);
   map[0] = kLitFalse;
   // Preserve the PI interface exactly (even unused PIs).

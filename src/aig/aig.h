@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -43,6 +42,8 @@ class Aig {
   AigLit xor2(AigLit a, AigLit b);
   AigLit mux(AigLit s, AigLit d0, AigLit d1);
   void add_po(AigLit l) { pos_.push_back(l); }
+  /// Presizes node storage and the structural hash for `nodes` nodes.
+  void reserve(std::size_t nodes);
 
   /// Looks up an existing AND node without creating one; returns the lit
   /// or kNoLit. Used by the rewriter's exact cost probing.
@@ -93,20 +94,20 @@ class Aig {
 
  private:
   std::uint32_t new_node(AigLit f0, AigLit f1);
-
-  struct PairHash {
-    std::size_t operator()(const std::pair<AigLit, AigLit>& p) const {
-      return std::hash<std::uint64_t>()(
-          (static_cast<std::uint64_t>(p.first) << 32) | p.second);
-    }
-  };
+  /// Slot of the AND node (a, b) in strash_, or the empty slot where it
+  /// belongs.
+  std::size_t strash_slot(AigLit a, AigLit b) const;
+  /// Rebuilds strash_ with room for `ands` AND nodes at most half full.
+  void rehash(std::size_t ands);
 
   std::vector<AigLit> fanin0_;  // kNoLit for PIs and const
   std::vector<AigLit> fanin1_;
   std::vector<std::uint32_t> pis_;
   std::vector<AigLit> pos_;
-  std::unordered_map<std::pair<AigLit, AigLit>, std::uint32_t, PairHash>
-      strash_;
+  // Structural hash: a power-of-two, linearly probed table of AND node ids.
+  // A slot's key is read back from fanin0_/fanin1_; 0 (the constant node,
+  // never an AND) marks an empty slot.
+  std::vector<std::uint32_t> strash_;
   std::size_t num_ands_ = 0;
 };
 

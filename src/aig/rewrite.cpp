@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <type_traits>
 #include <unordered_map>
+
+#include "aig/cuts.h"
 
 namespace orap::aig {
 
@@ -39,66 +43,12 @@ struct TruthOps {
   }
 };
 
-using Tt = std::uint16_t;  // 4-var tables for the cut rewriter
+using detail::Cut;
+using detail::kVarTt;
+using detail::Tt;
 using Ops4 = TruthOps<Tt, 4>;
-constexpr Tt kVarTt[4] = {0xAAAA, 0xCCCC, 0xF0F0, 0xFF00};
-constexpr Tt kTtTrue = 0xFFFF;
 
-Tt cofactor0(Tt f, int var) { return Ops4::cofactor0(f, var); }
-Tt cofactor1(Tt f, int var) { return Ops4::cofactor1(f, var); }
-bool depends_on(Tt f, int var) { return Ops4::depends_on(f, var); }
-
-// --- cuts --------------------------------------------------------------------
-
-struct Cut {
-  std::array<std::uint32_t, 4> leaves{};
-  std::uint8_t size = 0;
-  Tt truth = 0;  // over leaves[0..size-1] as vars 0..size-1 (padded to 4)
-};
-
-/// Re-expresses `t` (over `from`) on the leaf set `to` (a superset).
-Tt expand_truth(Tt t, const Cut& from, const Cut& to) {
-  std::array<int, 4> pos{};  // var i of `from` sits at pos[i] of `to`
-  for (int i = 0; i < from.size; ++i) {
-    int p = -1;
-    for (int j = 0; j < to.size; ++j)
-      if (to.leaves[j] == from.leaves[i]) {
-        p = j;
-        break;
-      }
-    ORAP_DCHECK(p >= 0);
-    pos[i] = p;
-  }
-  Tt out = 0;
-  for (int m = 0; m < 16; ++m) {
-    int proj = 0;
-    for (int i = 0; i < from.size; ++i)
-      proj |= ((m >> pos[i]) & 1) << i;
-    if ((t >> proj) & 1) out |= static_cast<Tt>(1) << m;
-  }
-  return out;
-}
-
-bool merge_leaves(const Cut& a, const Cut& b, Cut& out) {
-  int i = 0, j = 0, k = 0;
-  while (i < a.size || j < b.size) {
-    std::uint32_t next;
-    if (i < a.size && (j >= b.size || a.leaves[i] <= b.leaves[j])) {
-      next = a.leaves[i];
-      if (j < b.size && b.leaves[j] == next) ++j;
-      ++i;
-    } else {
-      next = b.leaves[j];
-      ++j;
-    }
-    if (k == 4) return false;
-    out.leaves[k++] = next;
-  }
-  out.size = static_cast<std::uint8_t>(k);
-  return true;
-}
-
-// --- memoized function synthesis ----------------------------------------------
+// --- function synthesis ------------------------------------------------------
 
 enum class DecKind : std::uint8_t {
   kConst0,
@@ -117,21 +67,120 @@ struct Decision {
   std::uint16_t cost = 0;
 };
 
-/// Memoized Shannon-decomposition synthesizer over NV-variable functions
-/// packed into TT words. The 4-var instantiation backs the cut rewriter;
-/// the 6-var one backs the fanout-free-cone refactorer.
+/// Complements `f` when its minterm 0 is set, so every decision is made
+/// for a function with f(0) == 0 (negations are free).
+template <typename TT>
+TT norm(TT f, bool& flip) {
+  flip = (f & 1) != 0;
+  return flip ? static_cast<TT>(~f) : f;
+}
+
+template <typename TT>
+TT norm(TT f) {
+  bool flip;
+  return norm(f, flip);
+}
+
+/// Cheapest Shannon decomposition of a normalized NV-variable function,
+/// given `cost(g)`: the standalone AND-node cost of any cofactor.
+template <typename TT, int NV, typename CostFn>
+Decision shannon_decision(TT f, CostFn cost) {
+  using Ops = TruthOps<TT, NV>;
+  if (f == 0) return {DecKind::kConst0, 0, 0};
+  for (std::uint8_t v = 0; v < NV; ++v)
+    if (f == Ops::var(v)) return {DecKind::kVar, v, 0};
+
+  Decision best;
+  best.cost = 0xffff;
+  for (std::uint8_t v = 0; v < NV; ++v) {
+    if (!Ops::depends_on(f, v)) continue;
+    const TT f0 = Ops::cofactor0(f, v);
+    const TT f1 = Ops::cofactor1(f, v);
+    Decision cand;
+    cand.var = v;
+    if (f1 == Ops::all_ones()) {
+      cand.kind = DecKind::kOrVarF0;
+      cand.cost = static_cast<std::uint16_t>(1 + cost(f0));
+    } else if (f1 == 0) {
+      cand.kind = DecKind::kAndNVarF0;
+      cand.cost = static_cast<std::uint16_t>(1 + cost(f0));
+    } else if (f0 == Ops::all_ones()) {
+      cand.kind = DecKind::kOrNVarF1;
+      cand.cost = static_cast<std::uint16_t>(1 + cost(f1));
+    } else if (f0 == 0) {
+      cand.kind = DecKind::kAndVarF1;
+      cand.cost = static_cast<std::uint16_t>(1 + cost(f1));
+    } else if (f1 == static_cast<TT>(~f0)) {
+      cand.kind = DecKind::kXorVarF0;
+      cand.cost = static_cast<std::uint16_t>(3 + cost(f0));
+    } else {
+      cand.kind = DecKind::kMux;
+      cand.cost = static_cast<std::uint16_t>(3 + cost(f0) + cost(f1));
+    }
+    if (cand.cost < best.cost) best = cand;
+  }
+  ORAP_DCHECK(best.cost != 0xffff);
+  return best;
+}
+
+/// Decisions for all 2^16 four-variable functions; entry f holds the
+/// decision for norm(f). Filled in order of support size, so every
+/// cofactor's entry precedes its parent's. A function-local static: C++
+/// builds it once, thread-safely, and it is read-only afterwards.
+const std::vector<Decision>& decisions4() {
+  static const std::vector<Decision> table = [] {
+    std::vector<Decision> t(std::size_t{1} << 16);
+    auto cost = [&t](Tt g) { return t[norm(g)].cost; };
+    for (int support = 0; support <= 4; ++support) {
+      for (std::uint32_t i = 0; i < t.size(); i += 2) {
+        const auto f = static_cast<Tt>(i);
+        int deps = 0;
+        for (int v = 0; v < 4; ++v) deps += Ops4::depends_on(f, v) ? 1 : 0;
+        if (deps == support) t[f] = shannon_decision<Tt, 4>(f, cost);
+      }
+    }
+    for (std::uint32_t i = 1; i < t.size(); i += 2) t[i] = t[norm(Tt(i))];
+    return t;
+  }();
+  return table;
+}
+
+/// Decision source for 4-variable functions: the shared immutable table.
+class TableDecisions {
+ public:
+  Decision operator()(Tt f) const { return table_[f]; }
+
+ private:
+  const Decision* table_ = decisions4().data();
+};
+
+/// Decision source for 6-variable functions: computed on demand and
+/// memoized. Not thread-safe; each thread owns one (see cone_synth()).
+class MemoDecisions {
+ public:
+  Decision operator()(std::uint64_t f) {
+    const auto it = memo_.find(f);
+    if (it != memo_.end()) return it->second;
+    const Decision d = shannon_decision<std::uint64_t, 6>(
+        f, [this](std::uint64_t g) { return (*this)(norm(g)).cost; });
+    memo_.emplace(f, d);
+    return d;
+  }
+
+ private:
+  std::unordered_map<std::uint64_t, Decision> memo_;
+};
+
+/// Shannon-decomposition synthesizer over NV-variable functions packed
+/// into TT words. The 4-var instantiation backs the cut rewriter; the
+/// 6-var one backs the fanout-free-cone refactorer.
 template <typename TT, int NV>
 class FuncSynthT {
   using Ops = TruthOps<TT, NV>;
+  using Decisions =
+      std::conditional_t<NV == 4, TableDecisions, MemoDecisions>;
 
  public:
-  /// Standalone AND-node cost of `f` (negations free).
-  std::uint16_t cost(TT f) {
-    bool flip;
-    const TT g = norm(f, flip);
-    return decide(g).cost;
-  }
-
   struct PB {  // probe/build result
     std::uint32_t new_nodes = 0;
     AigLit lit = Aig::kNoLit;  // known literal, or kNoLit during probing
@@ -149,57 +198,6 @@ class FuncSynthT {
   }
 
  private:
-  static TT norm(TT f, bool& flip) {
-    flip = (f & 1) != 0;
-    return flip ? static_cast<TT>(~f) : f;
-  }
-
-  const Decision& decide(TT f) {
-    ORAP_DCHECK((f & 1) == 0);
-    auto it = memo_.find(f);
-    if (it != memo_.end()) return it->second;
-    Decision d = compute(f);
-    return memo_.emplace(f, d).first->second;
-  }
-
-  Decision compute(TT f) {
-    if (f == 0) return {DecKind::kConst0, 0, 0};
-    for (std::uint8_t v = 0; v < NV; ++v)
-      if (f == Ops::var(v)) return {DecKind::kVar, v, 0};
-
-    Decision best;
-    best.cost = 0xffff;
-    for (std::uint8_t v = 0; v < NV; ++v) {
-      if (!Ops::depends_on(f, v)) continue;
-      const TT f0 = Ops::cofactor0(f, v);
-      const TT f1 = Ops::cofactor1(f, v);
-      Decision cand;
-      cand.var = v;
-      if (f1 == Ops::all_ones()) {
-        cand.kind = DecKind::kOrVarF0;
-        cand.cost = static_cast<std::uint16_t>(1 + cost(f0));
-      } else if (f1 == 0) {
-        cand.kind = DecKind::kAndNVarF0;
-        cand.cost = static_cast<std::uint16_t>(1 + cost(f0));
-      } else if (f0 == Ops::all_ones()) {
-        cand.kind = DecKind::kOrNVarF1;
-        cand.cost = static_cast<std::uint16_t>(1 + cost(f1));
-      } else if (f0 == 0) {
-        cand.kind = DecKind::kAndVarF1;
-        cand.cost = static_cast<std::uint16_t>(1 + cost(f1));
-      } else if (f1 == static_cast<TT>(~f0)) {
-        cand.kind = DecKind::kXorVarF0;
-        cand.cost = static_cast<std::uint16_t>(3 + cost(f0));
-      } else {
-        cand.kind = DecKind::kMux;
-        cand.cost = static_cast<std::uint16_t>(3 + cost(f0) + cost(f1));
-      }
-      if (cand.cost < best.cost) best = cand;
-    }
-    ORAP_DCHECK(best.cost != 0xffff);
-    return best;
-  }
-
   PB pand(PB x, PB y, Aig& a, bool build) {
     if (build) return {0, a.and2(x.lit, y.lit)};
     PB r;
@@ -225,7 +223,7 @@ class FuncSynthT {
     if (f == 0) return {0, kLitFalse};
     for (std::uint8_t v = 0; v < NV; ++v)
       if (f == Ops::var(v)) return {0, leaves[v]};
-    const Decision d = decide(f);
+    const Decision d = decide_(f);
     const PB x{0, leaves[d.var]};
     const TT f0 = Ops::cofactor0(f, d.var);
     const TT f1 = Ops::cofactor1(f, d.var);
@@ -259,70 +257,86 @@ class FuncSynthT {
     }
   }
 
-  std::unordered_map<TT, Decision> memo_;
+  Decisions decide_;
 };
 
-using FuncSynth = FuncSynthT<std::uint16_t, 4>;
+using FuncSynth = FuncSynthT<Tt, 4>;
 using ConeSynth = FuncSynthT<std::uint64_t, 6>;
 
-// Thread-unsafe but cheap: one shared memo across passes.
-FuncSynth& func_synth() {
-  static FuncSynth s;
+// The 6-var memo fills as it goes, so each thread keeps its own. Decisions
+// are a pure function of the truth table: which memo answers cannot change
+// any output.
+ConeSynth& cone_synth() {
+  thread_local ConeSynth s;
   return s;
 }
 
-ConeSynth& cone_synth() {
-  static ConeSynth s;
-  return s;
-}
+}  // namespace
 
 // --- cut enumeration -----------------------------------------------------------
 
-std::vector<std::vector<Cut>> enumerate_cuts(const Aig& in, int cuts_per_node) {
-  std::vector<std::vector<Cut>> cuts(in.num_nodes());
+namespace detail {
+
+CutStore enumerate_cuts(const Aig& in, int cuts_per_node) {
+  CutStore s;
+  s.begin.reserve(in.num_nodes() + 1);
+  s.cuts.reserve(in.num_nodes() * static_cast<std::size_t>(cuts_per_node + 1));
   // Constant node: single empty-leaf cut with constant-0 truth.
-  cuts[0].push_back(Cut{{}, 0, 0});
+  s.begin.push_back(0);
+  s.cuts.push_back(Cut{});
   for (std::uint32_t n = 1; n < in.num_nodes(); ++n) {
+    const auto first = static_cast<std::uint32_t>(s.cuts.size());
+    s.begin.push_back(first);
     Cut trivial;
     trivial.leaves[0] = n;
+    trivial.sig = 1u << (n % 32);
     trivial.size = 1;
     trivial.truth = kVarTt[0];
     if (!in.is_and(n)) {
-      cuts[n].push_back(trivial);
+      s.cuts.push_back(trivial);
       continue;
     }
     const AigLit l0 = in.fanin0(n);
     const AigLit l1 = in.fanin1(n);
-    std::vector<Cut>& out = cuts[n];
-    for (const Cut& c0 : cuts[lit_node(l0)]) {
-      for (const Cut& c1 : cuts[lit_node(l1)]) {
+    const std::uint32_t n0 = lit_node(l0), n1 = lit_node(l1);
+    // Indices, not references: push_back below may reallocate the store.
+    for (std::uint32_t i = s.begin[n0]; i < s.begin[n0 + 1]; ++i) {
+      for (std::uint32_t j = s.begin[n1]; j < s.begin[n1 + 1]; ++j) {
+        const Cut& c0 = s.cuts[i];
+        const Cut& c1 = s.cuts[j];
+        if (std::popcount(c0.sig | c1.sig) > 4) continue;  // > 4 leaves
         Cut merged;
         if (!merge_leaves(c0, c1, merged)) continue;
+        // Dedupe by leaf set.
+        bool dup = false;
+        for (std::uint32_t k = first; k < s.cuts.size(); ++k) {
+          const Cut& c = s.cuts[k];
+          if (c.sig == merged.sig && c.size == merged.size &&
+              c.leaves == merged.leaves) {
+            dup = true;
+            break;
+          }
+        }
+        if (dup) continue;
         Tt t0 = expand_truth(c0.truth, c0, merged);
         Tt t1 = expand_truth(c1.truth, c1, merged);
         if (lit_compl(l0)) t0 = static_cast<Tt>(~t0);
         if (lit_compl(l1)) t1 = static_cast<Tt>(~t1);
         merged.truth = t0 & t1;
-        // Dedupe by leaf set.
-        bool dup = false;
-        for (const Cut& c : out)
-          if (c.size == merged.size && c.leaves == merged.leaves) {
-            dup = true;
-            break;
-          }
-        if (!dup) out.push_back(merged);
+        s.cuts.push_back(merged);
       }
     }
-    std::sort(out.begin(), out.end(),
+    std::sort(s.cuts.begin() + first, s.cuts.end(),
               [](const Cut& a, const Cut& b) { return a.size < b.size; });
-    if (static_cast<int>(out.size()) > cuts_per_node)
-      out.resize(cuts_per_node);
-    out.push_back(trivial);  // building block for parents
+    if (s.cuts.size() - first > static_cast<std::size_t>(cuts_per_node))
+      s.cuts.resize(first + cuts_per_node);
+    s.cuts.push_back(trivial);  // building block for parents
   }
-  return cuts;
+  s.begin.push_back(static_cast<std::uint32_t>(s.cuts.size()));
+  return s;
 }
 
-}  // namespace
+}  // namespace detail
 
 namespace {
 
@@ -362,11 +376,12 @@ std::uint32_t dying_interior(const Aig& in,
 }  // namespace
 
 Aig rewrite_pass(const Aig& in, const RewriteOptions& opts) {
-  const auto cuts = enumerate_cuts(in, opts.cuts_per_node);
+  const detail::CutStore cuts = detail::enumerate_cuts(in, opts.cuts_per_node);
   const auto fanout = in.fanout_counts();
-  FuncSynth& fs = func_synth();
+  FuncSynth fs;
 
   Aig out;
+  out.reserve(in.num_nodes());
   std::vector<AigLit> map(in.num_nodes(), Aig::kNoLit);
   map[0] = kLitFalse;
   for (const std::uint32_t pi : in.pis()) map[pi] = out.add_pi();
@@ -387,7 +402,7 @@ Aig rewrite_pass(const Aig& in, const RewriteOptions& opts) {
     const Cut* best_cut = nullptr;
     std::array<AigLit, 4> best_leaves{};
     if (default_cost > 0) {
-      for (const Cut& c : cuts[n]) {
+      for (const Cut& c : cuts.of(n)) {
         if (c.size == 1 && c.leaves[0] == n) continue;  // self-cut
         std::array<AigLit, 4> leaves{kLitFalse, kLitFalse, kLitFalse,
                                      kLitFalse};
@@ -422,6 +437,7 @@ Aig refactor_pass(const Aig& in) {
   ConeSynth& cs = cone_synth();
 
   Aig out;
+  out.reserve(in.num_nodes());
   std::vector<AigLit> map(in.num_nodes(), Aig::kNoLit);
   map[0] = kLitFalse;
   for (const std::uint32_t pi : in.pis()) map[pi] = out.add_pi();
@@ -431,6 +447,7 @@ Aig refactor_pass(const Aig& in) {
 
   std::vector<std::uint32_t> cone;    // interior nodes (including root)
   std::vector<std::uint32_t> leaves;  // boundary nodes
+  std::vector<std::uint64_t> cone_val;  // truth table of cone[i]
   for (std::uint32_t n = 1; n < in.num_nodes(); ++n) {
     if (!in.is_and(n)) continue;
     const AigLit da = map_lit(in.fanin0(n));
@@ -462,17 +479,27 @@ Aig refactor_pass(const Aig& in) {
         // Truth table of the cone over its leaves (evaluate in id order;
         // fanins always precede their gate).
         std::sort(cone.begin(), cone.end());
-        std::unordered_map<std::uint32_t, std::uint64_t> val;
-        val[0] = 0;  // const node
-        for (std::size_t i = 0; i < leaves.size(); ++i)
-          val[leaves[i]] = TruthOps<std::uint64_t, 6>::var(static_cast<int>(i));
-        auto lit_val = [&val](AigLit l) {
-          const std::uint64_t v = val.at(lit_node(l));
+        cone_val.resize(cone.size());
+        auto lit_val = [&](AigLit l) {
+          const std::uint32_t node = lit_node(l);
+          std::uint64_t v = 0;  // const node
+          if (node != 0) {
+            const auto leaf = std::find(leaves.begin(), leaves.end(), node);
+            if (leaf != leaves.end()) {
+              v = TruthOps<std::uint64_t, 6>::var(
+                  static_cast<int>(leaf - leaves.begin()));
+            } else {
+              const auto pos = std::lower_bound(cone.begin(), cone.end(), node);
+              ORAP_DCHECK(pos != cone.end() && *pos == node);
+              v = cone_val[pos - cone.begin()];
+            }
+          }
           return lit_compl(l) ? ~v : v;
         };
-        for (const std::uint32_t t : cone)
-          val[t] = lit_val(in.fanin0(t)) & lit_val(in.fanin1(t));
-        truth = val[n];
+        for (std::size_t i = 0; i < cone.size(); ++i)
+          cone_val[i] =
+              lit_val(in.fanin0(cone[i])) & lit_val(in.fanin1(cone[i]));
+        truth = cone_val.back();  // the root has the largest id
         for (std::size_t i = 0; i < leaves.size(); ++i)
           leaf_lits[i] = map[leaves[i]];
         for (std::size_t i = leaves.size(); i < 6; ++i)
@@ -508,6 +535,7 @@ Aig balance(const Aig& in) {
   }
 
   Aig out;
+  out.reserve(in.num_nodes());
   std::vector<AigLit> map(in.num_nodes(), Aig::kNoLit);
   map[0] = kLitFalse;
   for (const std::uint32_t pi : in.pis()) map[pi] = out.add_pi();

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "aig/aig.h"
+#include "aig/cuts.h"
 #include "aig/rewrite.h"
 #include "gen/circuit_gen.h"
 #include "gen/embedded.h"
+#include "locking/locking.h"
 #include "netlist/simulator.h"
 #include "sat/encode.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace orap::aig {
@@ -35,6 +38,27 @@ TEST(Aig, StructuralHashingSharesNodes) {
   EXPECT_EQ(a.num_ands(), 1u);
   EXPECT_EQ(a.find_and(x, y), g1);
   EXPECT_EQ(a.find_and(x, lit_not(y)), Aig::kNoLit);
+}
+
+TEST(Aig, StructuralHashSurvivesGrowth) {
+  // Enough ANDs to grow the hash table several times: every node stays
+  // findable and re-adding any of them creates nothing.
+  Aig a;
+  std::vector<AigLit> pis;
+  for (int i = 0; i < 64; ++i) pis.push_back(a.add_pi());
+  std::vector<AigLit> ands;
+  for (int i = 0; i < 64; ++i)
+    for (int j = i + 1; j < 64; ++j)
+      ands.push_back(a.and2(pis[i], lit_not(pis[j])));
+  ASSERT_EQ(a.num_ands(), ands.size());
+  std::size_t k = 0;
+  for (int i = 0; i < 64; ++i)
+    for (int j = i + 1; j < 64; ++j, ++k) {
+      EXPECT_EQ(a.find_and(lit_not(pis[j]), pis[i]), ands[k]);
+      EXPECT_EQ(a.and2(pis[i], lit_not(pis[j])), ands[k]);
+      EXPECT_EQ(a.find_and(pis[i], pis[j]), Aig::kNoLit);
+    }
+  EXPECT_EQ(a.num_ands(), ands.size());
 }
 
 TEST(Aig, XorAndMuxSemantics) {
@@ -283,6 +307,202 @@ TEST(Resynth, ParityIsAlreadyOptimal) {
   const Aig after = resynthesize(before);
   EXPECT_LE(after.num_ands(), before.num_ands());
   expect_equivalent(n, after, 77);
+}
+
+// FNV-1a over every node's (fanin0, fanin1) and every PO literal: barring
+// collisions, two AIGs hash equal only when they are the same graph, node
+// for node.
+std::uint64_t structure_hash(const Aig& a) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint32_t w) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (w >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (std::uint32_t n = 0; n < a.num_nodes(); ++n) {
+    mix(a.fanin0(n));
+    mix(a.fanin1(n));
+  }
+  for (const AigLit po : a.pos()) mix(po);
+  return h;
+}
+
+struct NamedCircuit {
+  std::string name;
+  Netlist netlist;
+};
+
+// The Table I circuits at scale 0.02: each paper profile and its weighted
+// lock (table1_overhead's seeds), plus s38417 under four other schemes.
+std::vector<NamedCircuit> table1_circuits() {
+  std::vector<NamedCircuit> out;
+  const auto& profiles = paper_benchmarks();
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    const BenchmarkProfile& p = profiles[i];
+    Netlist n = make_benchmark(p, 0.02);
+    LockedCircuit lc =
+        lock_weighted(n, p.lfsr_size, p.ctrl_gate_inputs, 1000 + i);
+    out.push_back({p.name, std::move(n)});
+    out.push_back({p.name + "+weighted", std::move(lc.netlist)});
+  }
+  const Netlist z = make_benchmark(benchmark_profile("s38417"), 0.02);
+  out.push_back({"s38417+sarlock", lock_sarlock(z, 12, 22).netlist});
+  out.push_back({"s38417+antisat", lock_antisat(z, 16, 23).netlist});
+  out.push_back({"s38417+sfll_hd", lock_sfll_hd(z, 12, 1, 24).netlist});
+  out.push_back({"s38417+kgate", lock_kgate(z, 12, 2, 25).netlist});
+  return out;
+}
+
+// Resynthesized AND count, depth and structure_hash of table1_circuits(),
+// recorded before the resynthesis engine was optimized: speed-ups must not
+// change a single node. A deliberate change to the rewriter's choices
+// changes Table I's numbers and must re-record these.
+struct PinnedAig {
+  const char* name;
+  std::size_t ands;
+  std::uint32_t depth;
+  std::uint64_t hash;
+};
+constexpr PinnedAig kPinned[] = {
+      {"s38417", 345, 19, 0x54f0a5aabfb72442ULL},
+      {"s38417+weighted", 779, 29, 0x0b48c7eb28442749ULL},
+      {"s38584", 466, 20, 0x091b3f1116f53af2ULL},
+      {"s38584+weighted", 789, 29, 0x478d7b2a7c23ee36ULL},
+      {"b17", 1231, 26, 0x8489d0dd8ace36c3ULL},
+      {"b17+weighted", 1661, 31, 0x6fbafa5c85266f8bULL},
+      {"b18", 4348, 29, 0x76568733a933bcdcULL},
+      {"b18+weighted", 4483, 31, 0x819e2017bcc80f0bULL},
+      {"b19", 8743, 30, 0x0513f95ca7457278ULL},
+      {"b19+weighted", 9033, 30, 0x4785ad98ae17fd21ULL},
+      {"b20", 799, 33, 0x0cb2f716558eb743ULL},
+      {"b20+weighted", 1190, 42, 0x597538ae3489037dULL},
+      {"b21", 769, 25, 0x18129e0074818c62ULL},
+      {"b21+weighted", 1161, 34, 0x21298a86feada02cULL},
+      {"b22", 1144, 31, 0x8cb76687b7d461dbULL},
+      {"b22+weighted", 1549, 39, 0x9ea663b97ec9346cULL},
+      {"s38417+sarlock", 407, 19, 0x1720055aadd73e29ULL},
+      {"s38417+antisat", 411, 19, 0xf1f1ed0f281450ccULL},
+      {"s38417+sfll_hd", 627, 31, 0x5377728f094b6291ULL},
+      {"s38417+kgate", 384, 23, 0xdaf341a731ef9abbULL},
+};
+
+TEST(Resynth, PinnedStructureMatchesRecord) {
+  const auto circuits = table1_circuits();
+  ASSERT_EQ(circuits.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < circuits.size(); ++i) {
+    const PinnedAig& want = kPinned[i];
+    ASSERT_EQ(circuits[i].name, want.name);
+    const Aig r = resynthesize(Aig::from_netlist(circuits[i].netlist));
+    EXPECT_EQ(r.num_ands(), want.ands) << want.name;
+    EXPECT_EQ(r.depth(), want.depth) << want.name;
+    EXPECT_EQ(structure_hash(r), want.hash) << want.name;
+  }
+}
+
+TEST(Resynth, ConcurrentCallsMatchSerial) {
+  // The eight weighted locks, resynthesized concurrently first:
+  // set_parallel_threads respawns the pool, so every worker's cone memo
+  // starts cold and fills while the others fill theirs.
+  const auto circuits = table1_circuits();
+  std::vector<const Netlist*> work;
+  for (std::size_t i = 1; i < 16; i += 2) work.push_back(&circuits[i].netlist);
+  ASSERT_EQ(work.size(), 8u);
+  std::vector<std::uint64_t> concurrent(work.size());
+  set_parallel_threads(4);
+  parallel_for(1, work.size(), [&](std::size_t i) {
+    concurrent[i] = structure_hash(resynthesize(Aig::from_netlist(*work[i])));
+  });
+  set_parallel_threads(0);
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    EXPECT_EQ(concurrent[i],
+              structure_hash(resynthesize(Aig::from_netlist(*work[i]))))
+        << circuits[2 * i + 1].name;
+  }
+}
+
+// The projection expand_truth replaced: minterm m of the result takes t's
+// value at the minterm whose var i is m's var pos[i].
+detail::Tt expand_truth_reference(detail::Tt t, const detail::Cut& from,
+                                  const detail::Cut& to) {
+  std::array<int, 4> pos{};
+  for (int i = 0; i < from.size; ++i)
+    for (int j = 0; j < to.size; ++j)
+      if (to.leaves[j] == from.leaves[i]) pos[i] = j;
+  detail::Tt out = 0;
+  for (int m = 0; m < 16; ++m) {
+    int proj = 0;
+    for (int i = 0; i < from.size; ++i) proj |= ((m >> pos[i]) & 1) << i;
+    if ((t >> proj) & 1) out |= static_cast<detail::Tt>(1 << m);
+  }
+  return out;
+}
+
+TEST(Cuts, ExpandTruthMatchesMintermProjection) {
+  // Every superset leaf list of up to four leaves, every sorted subset of
+  // it, and every function of the subset's variables (padded to 16 bits):
+  // 67,026 cases.
+  constexpr std::uint32_t kLeaves[4] = {3, 17, 40, 41};
+  int cases = 0;
+  for (int to_size = 0; to_size <= 4; ++to_size) {
+    detail::Cut to;
+    to.size = static_cast<std::uint8_t>(to_size);
+    for (int j = 0; j < to_size; ++j) to.leaves[j] = kLeaves[j];
+    for (unsigned subset = 0; subset < (1u << to_size); ++subset) {
+      detail::Cut from;
+      for (int j = 0; j < to_size; ++j)
+        if ((subset >> j) & 1) from.leaves[from.size++] = kLeaves[j];
+      const unsigned minterms = 1u << from.size;
+      for (std::uint32_t f = 0; f < (1u << minterms); ++f) {
+        detail::Tt t = 0;
+        for (int m = 0; m < 16; ++m)
+          if ((f >> (m & (minterms - 1))) & 1)
+            t |= static_cast<detail::Tt>(1 << m);
+        ASSERT_EQ(detail::expand_truth(t, from, to),
+                  expand_truth_reference(t, from, to))
+            << "to_size=" << to_size << " subset=" << subset << " f=" << f;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 67026);
+}
+
+TEST(Cuts, StoreHoldsSmallestCutsThenSelfCut) {
+  const Aig a = Aig::from_netlist(make_alu4());
+  const detail::CutStore store = detail::enumerate_cuts(a, 6);
+  ASSERT_EQ(store.begin.size(), a.num_nodes() + 1);
+  Rng rng(5);
+  std::vector<std::uint64_t> words(a.num_pis());
+  for (auto& w : words) w = rng.word();
+  const auto val = a.simulate_nodes(words);
+  for (std::uint32_t n = 1; n < a.num_nodes(); ++n) {
+    const auto cuts = store.of(n);
+    ASSERT_FALSE(cuts.empty());
+    EXPECT_LE(cuts.size(), 7u);
+    EXPECT_EQ(cuts.back().size, 1);
+    EXPECT_EQ(cuts.back().leaves[0], n);
+    for (std::size_t k = 1; k + 1 < cuts.size(); ++k)
+      EXPECT_LE(cuts[k - 1].size, cuts[k].size);
+    for (const detail::Cut& c : cuts) {
+      std::uint32_t sig = 0;
+      for (int i = 0; i < c.size; ++i) {
+        sig |= 1u << (c.leaves[i] % 32);
+        if (i > 0) {
+          EXPECT_LT(c.leaves[i - 1], c.leaves[i]);
+        }
+      }
+      EXPECT_EQ(c.sig, sig);
+      // The cut's truth table over its leaves reproduces the node's value.
+      for (int bit = 0; bit < 64; ++bit) {
+        int m = 0;
+        for (int i = 0; i < c.size; ++i)
+          m |= static_cast<int>((val[c.leaves[i]] >> bit) & 1) << i;
+        ASSERT_EQ((c.truth >> m) & 1, (val[n] >> bit) & 1)
+            << "node " << n << " bit " << bit;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -91,6 +91,24 @@ assert a["results"]["golden_encode_reused"] > 0, \
     "attack folded no cone gates"
 EOF
 
+# Table I determinism smoke: table1_overhead resynthesizes circuits from
+# pool tasks (measure_overhead inside parallel_for), so its "results"
+# object must be byte-identical at 1 and 4 pool threads.
+echo "==== [plain] table1_overhead determinism smoke ===="
+T1_OUT1="$PREFIX/table1_t1.json"
+T1_OUT4="$PREFIX/table1_t4.json"
+"$PREFIX/bench/table1_overhead" --scale=0.05 --threads=1 \
+  --json="$T1_OUT1" >/dev/null
+"$PREFIX/bench/table1_overhead" --scale=0.05 --threads=4 \
+  --json="$T1_OUT4" >/dev/null
+python3 - "$T1_OUT1" "$T1_OUT4" <<'EOF'
+import json, sys
+a, b = (json.load(open(p)) for p in sys.argv[1:3])
+assert a["results"], "table1_overhead recorded no results"
+assert json.dumps(a["results"]) == json.dumps(b["results"]), \
+    "table1_overhead results differ between 1 and 4 threads"
+EOF
+
 # SIMD dispatch A/B: the scalar kernel table must produce the same attack
 # results as whatever ISA the runtime dispatch picked (the two paths are
 # bit-identical by contract; ORAP_SIMD=scalar forces the portable one).
@@ -342,7 +360,10 @@ if [[ "$RUN_TSAN" == "1" ]]; then
   # result cache adds.
   # ^Chaos\.|^Reconnect\. ride along: reconnection races the server
   # thread against a redialing client, the precise surface TSan is for.
-  [[ -n "$TSAN_FILTER" ]] && CTEST_EXTRA=(-R "$TSAN_FILTER|^Budget\.|^Resilience\.|^Serve\.|^Checkpoint\.|^Batch\.|^SchemeZoo\.|^LockValidation\.|^Chaos\.|^Reconnect\.")
+  # ^Resynth\.|^Refactor\. join for the AIG resynthesis engine: Table I
+  # runs it from pool tasks, so its per-thread cone memo and shared
+  # decision table are cross-thread surface.
+  [[ -n "$TSAN_FILTER" ]] && CTEST_EXTRA=(-R "$TSAN_FILTER|^Budget\.|^Resilience\.|^Serve\.|^Checkpoint\.|^Batch\.|^SchemeZoo\.|^LockValidation\.|^Chaos\.|^Reconnect\.|^Resynth\.|^Refactor\.")
   # Force >1 pool threads so TSan actually sees concurrent stealing even
   # on single-core runners.
   export ORAP_THREADS="${ORAP_THREADS:-4}"
