@@ -31,7 +31,7 @@ struct BenchArgs {
   std::size_t threads = 0;   // 0 = auto (ORAP_THREADS / hardware)
   std::size_t portfolio = 1; // CDCL portfolio size for SAT-bound benches
   bool preprocess = false;   // SatELite-style CNF simplification
-  bool incremental = false;  // single-solver ATPG / sensitization core
+  bool incremental = false;  // single-solver sensitization attack core
   // Oracle-resilience knobs (attack benches; attacks/faulty_oracle.h).
   double oracle_noise = 0.0;      // seeded response bit-flip rate
   double oracle_fail_rate = 0.0;  // seeded transient-failure rate
@@ -201,7 +201,7 @@ struct BenchArgs {
         "(default 1)\n"
         "  --preprocess[=0|1]  SatELite-style CNF simplification before "
         "solving (default 0)\n"
-        "  --incremental[=0|1] one persistent solver for ATPG and the "
+        "  --incremental[=0|1] one persistent solver for the "
         "sensitization attack (default 0)\n"
         "  --oracle-noise=P      seeded oracle response bit-flip rate "
         "(default 0)\n"
@@ -243,7 +243,8 @@ struct BenchArgs {
     if (portfolio > 1) std::printf("portfolio: %zu CDCL instances\n", portfolio);
     if (preprocess) std::printf("preprocess: CNF simplification on\n");
     if (incremental)
-      std::printf("incremental: persistent single-solver ATPG core on\n");
+      std::printf("incremental: persistent single-solver sensitization "
+                  "core on\n");
     if (oracle_noise > 0.0 || oracle_fail_rate > 0.0)
       std::printf("oracle faults: noise=%.4f fail-rate=%.4f\n", oracle_noise,
                   oracle_fail_rate);

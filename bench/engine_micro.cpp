@@ -1,11 +1,12 @@
 // E6 — google-benchmark microbenchmarks of the underlying engines:
-// bit-parallel logic simulation, event-driven fault simulation, AIG
-// rewriting, CNF encoding + SAT solving, and the full scan-based oracle
-// query. These put the Table I/II runtimes in context.
+// bit-parallel logic simulation, event-driven fault simulation, SAT-ATPG,
+// AIG rewriting, CNF encoding + SAT solving, and the full scan-based
+// oracle query. These put the Table I/II runtimes in context.
 
 #include <benchmark/benchmark.h>
 
 #include "aig/rewrite.h"
+#include "atpg/atpg.h"
 #include "atpg/fault_sim.h"
 #include "chip/chip.h"
 #include "gen/circuit_gen.h"
@@ -103,6 +104,27 @@ void BM_FaultSimBlockWide(benchmark::State& state) {
                           static_cast<std::int64_t>(simd::kBlockWords));
 }
 BENCHMARK(BM_FaultSimBlockWide)->Arg(1000)->Arg(5000);
+
+void BM_SatAtpgRemainder(benchmark::State& state) {
+  // The SAT phase of the Table II flow: one generate_test query (D-chain
+  // miter, table2_testability's 2000-conflict budget) per fault the
+  // pseudorandom phase left over. The random phase runs once, in setup.
+  const Netlist n = bench_circuit(static_cast<std::size_t>(state.range(0)));
+  std::vector<Fault> remainder = collapse_faults(n);
+  FaultSimulator fsim(n, simd::kBlockWords);
+  Rng rng(3);
+  fsim.run_random(16, rng, remainder);
+  for (auto _ : state) {
+    for (const Fault& f : remainder) {
+      bool aborted = false;
+      benchmark::DoNotOptimize(generate_test(n, f, 2000, &aborted));
+    }
+  }
+  // Items are fault queries.
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(remainder.size()));
+}
+BENCHMARK(BM_SatAtpgRemainder)->Arg(1000)->Arg(5000);
 
 void BM_AigRewritePass(benchmark::State& state) {
   const Netlist n = bench_circuit(static_cast<std::size_t>(state.range(0)));

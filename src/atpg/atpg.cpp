@@ -24,126 +24,6 @@ std::vector<bool> fanout_cone(const Netlist& n, GateId site) {
   return affected;
 }
 
-/// Persistent-solver ATPG (AtpgOptions::incremental). The good circuit is
-/// encoded once at construction; generate() adds only the fault's faulty
-/// cone and an activation-guarded miter, solves under the assumption
-/// pos(act), and retires the query with a unit ¬act. Everything the solver
-/// learned about the good logic — the bulk of every fault query — stays
-/// live for the next fault.
-class IncrementalAtpg {
- public:
-  IncrementalAtpg(const Netlist& n, const AtpgOptions& opts,
-                  const std::chrono::steady_clock::time_point* deadline)
-      : n_(n),
-        s_(sat::PortfolioOptions{.size = opts.portfolio_size}),
-        e_(s_) {
-    if (deadline != nullptr) s_.set_deadline(*deadline);
-    gvar_.assign(n.num_gates(), sat::Encoder::kNoVar);
-    std::vector<sat::Var> fi;
-    for (GateId g = 0; g < n.num_gates(); ++g) {
-      const GateType t = n.type(g);
-      if (t == GateType::kInput) {
-        gvar_[g] = s_.new_var();
-        continue;
-      }
-      if (t == GateType::kConst0 || t == GateType::kConst1) {
-        gvar_[g] = e_.encode_gate(t, {});
-        continue;
-      }
-      fi.clear();
-      for (const GateId x : n.fanins(g)) fi.push_back(gvar_[x]);
-      gvar_[g] = e_.encode_gate(t, fi);
-    }
-    if (opts.preprocess) {
-      // Any gate can become a future cone boundary (a faulty-cone fanin),
-      // so every gate variable is interface here: elimination is off the
-      // table and the pass is subsumption / strengthening only.
-      for (const sat::Var v : gvar_)
-        if (v != sat::Encoder::kNoVar) s_.freeze(v);
-      s_.simplify();
-    }
-  }
-
-  std::optional<BitVec> generate(const Fault& f, std::int64_t budget,
-                                 bool* aborted) {
-    *aborted = false;
-    const auto affected = fanout_cone(n_, f.gate);
-    std::vector<GateId> reachable_pos;
-    for (const auto& po : n_.outputs())
-      if (affected[po.gate]) reachable_pos.push_back(po.gate);
-    if (reachable_pos.empty()) return std::nullopt;  // cannot reach any PO
-
-    // The non-incremental path re-encodes the whole cone of influence per
-    // fault; here everything outside the faulty cone rides on the
-    // persistent good copy.
-    const auto needed = fanin_cone(n_, reachable_pos);
-    for (GateId g = 0; g < n_.num_gates(); ++g)
-      if (needed[g] && !affected[g]) ++encode_reused_;
-
-    const sat::Var act = s_.new_var();
-    const sat::Var stuck = s_.new_var();
-    s_.add_clause({sat::Lit(stuck, !f.stuck_value)});
-
-    fvar_.assign(n_.num_gates(), sat::Encoder::kNoVar);
-    std::vector<sat::Var> fi;
-    for (GateId g = 0; g < n_.num_gates(); ++g) {
-      if (!affected[g]) continue;
-      if (g == f.gate && f.pin < 0) {
-        fvar_[g] = stuck;  // output stuck-at
-        continue;
-      }
-      const GateType t = n_.type(g);
-      ORAP_CHECK_MSG(gate_type_is_logic(t),
-                     "fault site cone reached a non-logic gate");
-      fi.clear();
-      const auto fanins = n_.fanins(g);
-      for (std::size_t p = 0; p < fanins.size(); ++p) {
-        if (g == f.gate && static_cast<std::int32_t>(p) == f.pin)
-          fi.push_back(stuck);
-        else
-          fi.push_back(affected[fanins[p]] ? fvar_[fanins[p]]
-                                           : gvar_[fanins[p]]);
-      }
-      fvar_[g] = e_.encode_gate(t, fi);
-    }
-
-    // act -> some affected PO differs.
-    std::vector<sat::Lit> any{sat::neg(act)};
-    for (const GateId po_gate : reachable_pos)
-      any.push_back(
-          sat::pos(e_.encode_xor2(gvar_[po_gate], fvar_[po_gate])));
-    s_.add_clause(any);
-
-    const std::vector<sat::Lit> assume{sat::pos(act)};
-    const auto res = s_.solve(assume, budget);
-    // Retire the query: the miter clause (the only act-guarded clause)
-    // goes permanently silent; the faulty-cone definitions are satisfiable
-    // under any input and stay as dead weight the solver never revisits.
-    s_.add_clause({sat::neg(act)});
-    if (res == sat::Solver::Result::kUnknown) {
-      *aborted = true;
-      return std::nullopt;
-    }
-    if (res == sat::Solver::Result::kUnsat) return std::nullopt;
-
-    BitVec pattern(n_.num_inputs());
-    for (std::size_t i = 0; i < n_.num_inputs(); ++i)
-      pattern.set(i, s_.model_value(gvar_[n_.inputs()[i]]));
-    return pattern;
-  }
-
-  sat::SolverStats stats() const { return s_.total_stats(); }
-  std::uint64_t encode_reused() const { return encode_reused_; }
-
- private:
-  const Netlist& n_;
-  sat::PortfolioSolver s_;
-  sat::Encoder e_;
-  std::vector<sat::Var> gvar_;
-  std::vector<sat::Var> fvar_;  // per-fault scratch
-  std::uint64_t encode_reused_ = 0;
-};
-
 }  // namespace
 
 std::optional<BitVec> generate_test(
@@ -171,6 +51,7 @@ std::optional<BitVec> generate_test(
 
   // Good copy, restricted to the cone of influence.
   std::vector<sat::Var> gvar(n.num_gates(), sat::Encoder::kNoVar);
+  std::vector<sat::Var> fi;
   for (GateId g = 0; g < n.num_gates(); ++g) {
     if (!needed[g]) continue;
     const GateType t = n.type(g);
@@ -178,18 +59,18 @@ std::optional<BitVec> generate_test(
       gvar[g] = s.new_var();
       continue;
     }
-    if (t == GateType::kConst0 || t == GateType::kConst1) {
-      gvar[g] = e.encode_gate(t, {});
-      continue;
-    }
-    std::vector<sat::Var> fi;
+    fi.clear();
     for (const GateId x : n.fanins(g)) fi.push_back(gvar[x]);
     gvar[g] = e.encode_gate(t, fi);
   }
 
   // Faulty copy: clone only the fault's fanout cone; everything else is
-  // shared with the good copy.
+  // shared with the good copy. The cone's gates inside the cone of
+  // influence are the D gates, listed in topological (id) order; the
+  // fault site is the first.
   std::vector<sat::Var> fvar(n.num_gates(), sat::Encoder::kNoVar);
+  std::vector<std::int32_t> dindex(n.num_gates(), -1);
+  std::vector<GateId> dgates;
   const sat::Var stuck = s.new_var();
   s.add_clause({sat::Lit(stuck, !f.stuck_value)});
 
@@ -199,6 +80,8 @@ std::optional<BitVec> generate_test(
       fvar[g] = gvar[g];
       continue;
     }
+    dindex[g] = static_cast<std::int32_t>(dgates.size());
+    dgates.push_back(g);
     if (g == f.gate && f.pin < 0) {
       fvar[g] = stuck;  // output stuck-at
       continue;
@@ -206,7 +89,7 @@ std::optional<BitVec> generate_test(
     const GateType t = n.type(g);
     ORAP_CHECK_MSG(gate_type_is_logic(t),
                    "fault site cone reached a non-logic gate");
-    std::vector<sat::Var> fi;
+    fi.clear();
     const auto fanins = n.fanins(g);
     for (std::size_t p = 0; p < fanins.size(); ++p) {
       if (g == f.gate && static_cast<std::int32_t>(p) == f.pin)
@@ -217,23 +100,63 @@ std::optional<BitVec> generate_test(
     fvar[g] = e.encode_gate(t, fi);
   }
 
-  // Miter: some affected PO differs.
-  std::vector<sat::Lit> any;
-  for (const GateId po_gate : reachable_pos)
-    any.push_back(sat::pos(e.encode_xor2(gvar[po_gate], fvar[po_gate])));
-  s.add_clause(any);
+  // Miter as a D-chain (Larrabee): d_g says "the fault effect is on g".
+  // d_g forces good_g != faulty_g, and at a gate that is not an observed
+  // PO it must continue through some fanout that carries a D variable (one
+  // exists: every D gate lies on a path to a reachable PO). The unit
+  // d_site then demands an activated site and a sensitized path to some
+  // observed PO that differs, which is the whole miter: no XOR over the
+  // POs is needed. An unactivatable fault is refuted by propagation
+  // instead of by proving two identical cones equal. Conversely a test
+  // always has such a path: walk back from a differing PO through
+  // differing fanins to the site. Fanouts among D gates are flat (CSR)
+  // lists.
+  const std::size_t nd = dgates.size();
+  std::vector<std::uint32_t> fo_begin(nd + 1, 0);
+  for (const GateId h : dgates)
+    for (const GateId x : n.fanins(h))
+      if (dindex[x] >= 0) ++fo_begin[dindex[x] + 1];
+  for (std::size_t k = 0; k < nd; ++k) fo_begin[k + 1] += fo_begin[k];
+  std::vector<std::uint32_t> fanouts(fo_begin[nd]);
+  {
+    std::vector<std::uint32_t> fill(fo_begin.begin(), fo_begin.end() - 1);
+    for (std::size_t k = 0; k < nd; ++k)
+      for (const GateId x : n.fanins(dgates[k]))
+        if (dindex[x] >= 0)
+          fanouts[fill[dindex[x]]++] = static_cast<std::uint32_t>(k);
+  }
+  std::vector<bool> observed(nd, false);
+  for (const GateId po_gate : reachable_pos) observed[dindex[po_gate]] = true;
+
+  std::vector<sat::Var> dvar(nd);
+  for (sat::Var& d : dvar) d = s.new_var();
+  std::vector<sat::Lit> chain;
+  for (std::size_t k = 0; k < nd; ++k) {
+    const sat::Var d = dvar[k];
+    const GateId g = dgates[k];
+    s.add_clause({sat::neg(d), sat::pos(gvar[g]), sat::pos(fvar[g])});
+    s.add_clause({sat::neg(d), sat::neg(gvar[g]), sat::neg(fvar[g])});
+    if (observed[k]) continue;
+    chain.assign(1, sat::neg(d));
+    for (std::uint32_t i = fo_begin[k]; i < fo_begin[k + 1]; ++i)
+      chain.push_back(sat::pos(dvar[fanouts[i]]));
+    ORAP_CHECK_MSG(chain.size() > 1, "D gate without a path to a PO");
+    s.add_clause(chain);
+  }
+  s.add_clause({sat::pos(dvar[0])});  // the fault effect starts at the site
+  if (f.pin >= 0) {
+    // A pin fault is activated when its driver carries the opposite value;
+    // d_site alone would only say the site gate's output differs.
+    const GateId driver = n.fanins(f.gate)[static_cast<std::size_t>(f.pin)];
+    s.add_clause({sat::Lit(gvar[driver], f.stuck_value)});
+  }
 
   if (preprocess) {
-    // The pattern is read back from the PI variables and the fault site
-    // pins the miter: keep them (and the observed POs) out of elimination.
+    // The pattern is read back from the PI variables: keep them out of
+    // elimination. Every other clause is already in the formula.
     for (std::size_t i = 0; i < n.num_inputs(); ++i) {
       const GateId in = n.inputs()[i];
       if (gvar[in] != sat::Encoder::kNoVar) s.freeze(gvar[in]);
-    }
-    s.freeze(stuck);
-    for (const GateId po_gate : reachable_pos) {
-      s.freeze(gvar[po_gate]);
-      s.freeze(fvar[po_gate]);
     }
     s.simplify();
   }
@@ -279,10 +202,6 @@ AtpgResult run_atpg(const Netlist& n, const AtpgOptions& opts) {
     deadline = std::chrono::steady_clock::now() +
                std::chrono::milliseconds(opts.deadline_ms);
 
-  std::optional<IncrementalAtpg> inc;
-  if (opts.incremental)
-    inc.emplace(n, opts, has_deadline ? &deadline : nullptr);
-
   // Deterministic phase: SAT per leftover fault.
   std::vector<std::uint64_t> resim_words;
   while (!remaining.empty()) {
@@ -296,17 +215,11 @@ AtpgResult run_atpg(const Netlist& n, const AtpgOptions& opts) {
     const Fault f = remaining.back();
     remaining.pop_back();
     bool aborted = false;
-    std::optional<BitVec> pattern;
-    if (inc.has_value()) {
-      pattern = inc->generate(f, opts.conflict_budget, &aborted);
-    } else {
-      sat::SolverStats qstats;
-      pattern = generate_test(n, f, opts.conflict_budget, &aborted,
-                              opts.portfolio_size, opts.preprocess, &qstats,
-                              has_deadline ? &deadline : nullptr);
-      result.solver_rounds += qstats.incremental_rounds;
-      result.clauses_carried += qstats.clauses_carried;
-    }
+    sat::SolverStats qstats;
+    const std::optional<BitVec> pattern = generate_test(
+        n, f, opts.conflict_budget, &aborted, opts.portfolio_size,
+        opts.preprocess, &qstats, has_deadline ? &deadline : nullptr);
+    result.solver_rounds += qstats.incremental_rounds;
     if (!pattern.has_value()) {
       if (aborted)
         ++result.aborted;
@@ -328,13 +241,6 @@ AtpgResult run_atpg(const Netlist& n, const AtpgOptions& opts) {
           std::fill_n(resim_words.begin() + i * sim_w, sim_w, ~0ULL);
       result.detected_atpg += fsim.run_block(resim_words, remaining);
     }
-  }
-  if (inc.has_value()) {
-    // One persistent solver: its totals ARE the phase totals.
-    const sat::SolverStats st = inc->stats();
-    result.solver_rounds = st.incremental_rounds;
-    result.clauses_carried = st.clauses_carried;
-    result.encode_reused = inc->encode_reused();
   }
   return result;
 }

@@ -7,6 +7,15 @@
 //   SAT     -> test pattern generated (validated in the fault simulator),
 //   UNSAT   -> fault is provably redundant,
 //   UNKNOWN -> aborted (budget exhausted), like Atalanta's backtrack limit.
+//
+// The miter carries Larrabee's structural constraints (IEEE TCAD 1992):
+// every gate of the fanout cone that can reach an observed PO gets a D
+// variable d_g -> good_g != faulty_g, a D gate that is not an observed PO
+// passes its D on to some D fanout (d_g -> OR d_h), and the units d_site
+// (plus good(driver) = !stuck for a pin fault) demand activation and a
+// sensitized path. An unactivatable or unobservable fault is then refuted
+// by propagation, often while the miter is still being encoded, instead
+// of by a search that proves two identical cones equal.
 
 #include <chrono>
 #include <cstdint>
@@ -44,19 +53,6 @@ struct AtpgOptions {
   /// every not-yet-attempted fault is counted as aborted. Timing-dependent,
   /// so it waives bit-identity only when it actually fires.
   std::int64_t deadline_ms = -1;
-  /// Incremental single-solver mode: one persistent solver for the whole
-  /// ATPG phase. The good circuit is encoded once; each fault adds only
-  /// its faulty fanout cone plus a miter clause guarded by a fresh
-  /// activation literal, solves under that assumption, and retires the
-  /// query with a unit ¬act — so learnt clauses about the shared good
-  /// logic carry from fault to fault instead of being re-derived per
-  /// query. Same fault classification semantics; the generated patterns
-  /// may differ (different CNF, different model), and each is still
-  /// validated in the fault simulator. With `preprocess`, simplification
-  /// runs once after the good copy with every gate variable frozen
-  /// (any gate can become a future cone boundary), i.e. subsumption and
-  /// strengthening only — no elimination.
-  bool incremental = false;
   /// Words per fault-simulation block (64 patterns each). 0 = auto
   /// (simd::kBlockWords). Any width detects the identical fault set.
   std::size_t sim_block_words = 0;
@@ -70,13 +66,10 @@ struct AtpgResult {
   std::size_t aborted = 0;
   std::vector<BitVec> patterns;  // ATPG-phase patterns only
 
-  // Incremental-solver accounting. solver_rounds / clauses_carried come
-  // from the solver (learnts alive at each solve() entry, summed);
-  // encode_reused counts good-copy gates a fault query shared instead of
-  // re-encoding and is nonzero only with AtpgOptions::incremental.
+  // CDCL searches started, one per fault query and portfolio instance;
+  // a query refuted by root-level propagation while its miter was encoded
+  // starts none.
   std::uint64_t solver_rounds = 0;
-  std::uint64_t clauses_carried = 0;
-  std::uint64_t encode_reused = 0;
 
   // Pseudorandom-phase throughput (satellite of the wide fault simulator):
   // patterns pushed through the simulator and the wall time they took.

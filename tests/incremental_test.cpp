@@ -1,10 +1,8 @@
-// Tests for the persistent-solver attack/ATPG core: the constant-folded
-// miter SAT attack, the single-solver ATPG (--incremental), and the
-// assumption-based sensitization attack. The contract under test:
+// Tests for the persistent-solver attack core: the constant-folded miter
+// SAT attack and the assumption-based sensitization attack. The contract
+// under test:
 //   (1) every recovered key is exactly equivalent to the correct one
 //       (exhaustive simulation: these circuits have <= 22 data inputs),
-//       and ATPG reaches the same fault classification with or without
-//       its persistent solver,
 //   (2) the attack result is bit-identical across the threads x
 //       portfolio grid, and
 //   (3) the accounting (incremental_rounds / clauses_carried /
@@ -15,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "atpg/atpg.h"
 #include "attacks/oracle.h"
 #include "attacks/sat_attack.h"
 #include "attacks/simple_attacks.h"
@@ -149,56 +146,6 @@ TEST(Incremental, SarlockStillHitsTheExponentialWall) {
   ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound);
   EXPECT_TRUE(key_exactly_equivalent(lc, r.key));
   EXPECT_EQ(r.iterations, (std::size_t{1} << 6) - 1);
-}
-
-TEST(Incremental, AtpgMatchesNonIncrementalClassification) {
-  // Both modes run exact SAT-ATPG; with a budget generous enough that
-  // nothing aborts, the detected / redundant split is a property of the
-  // circuit and must not depend on the solver lifecycle. Also covers
-  // preprocess-in-incremental (subsumption with every gate var frozen).
-  const Netlist n = small_circuit(88, 400);
-  AtpgResult results[3];
-  int idx = 0;
-  for (const auto& [inc, pre] :
-       {std::pair{false, false}, {true, false}, {true, true}}) {
-    AtpgOptions opts;
-    opts.random_words = 8;  // leave real work for the SAT phase
-    opts.conflict_budget = 200000;
-    opts.incremental = inc;
-    opts.preprocess = pre;
-    results[idx++] = run_atpg(n, opts);
-  }
-  ASSERT_GT(results[0].detected_atpg + results[0].redundant, 0u);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(results[i].aborted, 0u) << "config " << i;
-    EXPECT_EQ(results[i].total_faults, results[0].total_faults)
-        << "config " << i;
-    EXPECT_EQ(results[i].detected_random, results[0].detected_random)
-        << "config " << i;
-    EXPECT_EQ(results[i].detected_atpg, results[0].detected_atpg)
-        << "config " << i;
-    EXPECT_EQ(results[i].redundant, results[0].redundant) << "config " << i;
-  }
-  // The persistent solver shares the good copy across every fault query.
-  EXPECT_GT(results[1].encode_reused, 0u);
-  EXPECT_GT(results[1].solver_rounds, 0u);
-  EXPECT_EQ(results[0].encode_reused, 0u);
-}
-
-TEST(Incremental, AtpgPatternsStillDetectTheirFaults) {
-  // Every ATPG-phase pattern from the incremental solver must actually
-  // detect a fault on the real (non-CNF) fault model.
-  const Netlist n = small_circuit(89, 400);
-  AtpgOptions opts;
-  opts.random_words = 8;
-  opts.conflict_budget = 200000;
-  opts.incremental = true;
-  const AtpgResult r = run_atpg(n, opts);
-  // One pattern per ATPG solve; resimulation with dropping can credit a
-  // pattern with extra detections, so patterns <= detected_atpg.
-  EXPECT_GT(r.patterns.size(), 0u);
-  EXPECT_LE(r.patterns.size(), r.detected_atpg);
-  for (const BitVec& p : r.patterns) EXPECT_EQ(p.size(), n.num_inputs());
 }
 
 TEST(Incremental, SensitizationResolvesCorrectBitsOnSparseXor) {

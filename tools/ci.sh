@@ -109,6 +109,33 @@ assert json.dumps(a["results"]) == json.dumps(b["results"]), \
     "table1_overhead results differ between 1 and 4 threads"
 EOF
 
+# Table II determinism smoke: table2_testability runs its 16 ATPG jobs
+# (8 circuits x original|protected) from pool tasks, so its "results"
+# object must match at 1 and 4 pool threads. The one timing-derived key,
+# random_sim_mpatterns_per_s, sits in "results" although EXPERIMENTS.md
+# keeps timing-derived numbers out of every byte-compare, so it is dropped
+# before comparing. With the D-chain miter no fault query may abort here.
+echo "==== [plain] table2_testability determinism smoke ===="
+T2_OUT1="$PREFIX/table2_t1.json"
+T2_OUT4="$PREFIX/table2_t4.json"
+"$PREFIX/bench/table2_testability" --scale=0.02 --threads=1 \
+  --json="$T2_OUT1" >/dev/null
+"$PREFIX/bench/table2_testability" --scale=0.02 --threads=4 \
+  --json="$T2_OUT4" >/dev/null
+python3 - "$T2_OUT1" "$T2_OUT4" <<'EOF'
+import json, sys
+a, b = (json.load(open(p))["results"] for p in sys.argv[1:3])
+for r in (a, b):
+    r.pop("random_sim_mpatterns_per_s")
+assert a, "table2_testability recorded no results"
+assert json.dumps(a) == json.dumps(b), \
+    "table2_testability results differ between 1 and 4 threads"
+aborted = {k: v for k, v in a.items() if "_abort_" in k}
+assert len(aborted) == 16, "table2_testability lacks per-row aborted counts"
+assert all(v == 0 for v in aborted.values()), \
+    "table2_testability aborted faults: %r" % aborted
+EOF
+
 # SIMD dispatch A/B: the scalar kernel table must produce the same attack
 # results as whatever ISA the runtime dispatch picked (the two paths are
 # bit-identical by contract; ORAP_SIMD=scalar forces the portable one).

@@ -322,7 +322,6 @@ int cmd_atpg(const Args& a) {
   opts.seed = a.get_num("seed", 1);
   opts.portfolio_size = a.get_num("portfolio", 1);
   opts.preprocess = a.get_num("preprocess", 0) != 0;
-  opts.incremental = a.get_num("incremental", 0) != 0;
   if (a.has("deadline-ms"))
     opts.deadline_ms = static_cast<std::int64_t>(a.get_num("deadline-ms", 0));
   const AtpgResult r = run_atpg(n, opts);
@@ -338,12 +337,6 @@ int cmd_atpg(const Args& a) {
                 r.random_sim_patterns,
                 static_cast<double>(r.random_sim_patterns) /
                     (r.random_sim_ms * 1e3));
-  if (opts.incremental)
-    std::printf("incremental: %llu solver rounds, %llu learnts carried, "
-                "%llu cone gates reused\n",
-                static_cast<unsigned long long>(r.solver_rounds),
-                static_cast<unsigned long long>(r.clauses_carried),
-                static_cast<unsigned long long>(r.encode_reused));
   return 0;
 }
 
@@ -1056,7 +1049,7 @@ void usage() {
       "  orap resynth <in.bench> [-o out.bench]\n"
       "  orap hd      <locked.bench> --key key.txt [--words N] [--keys N]\n"
       "  orap atpg    <in.bench> [--random-words N] [--budget B] "
-      "[--portfolio N] [--preprocess] [--incremental] "
+      "[--portfolio N] [--preprocess] "
       "[--deadline-ms T]\n"
       "  orap attack  <locked.bench> --key key.txt [--kind "
       "sat|appsat|doubledip|hillclimb] [--oracle golden|orap] "
@@ -1092,10 +1085,8 @@ void usage() {
       "--preprocess 0|1 runs SatELite-style CNF simplification (variable\n"
       "elimination + subsumption) before solving. The oracle-guided attacks "
       "keep one\npersistent miter solver and constant-fold every oracle "
-      "constraint; --incremental 0|1\ndoes the same for ATPG (one solver, "
-      "activation-guarded fault queries) and the\nsensitization attack, so "
-      "learnt clauses carry across queries. Results are\ndeterministic for "
-      "a given seed at any thread count.\n"
+      "constraint.\nResults are deterministic for a given seed at any thread "
+      "count.\n"
       "\n"
       "Oracle resilience (attack): --oracle-noise P / --oracle-fail-rate P "
       "inject seeded\nresponse bit-flips / transient failures into the "
