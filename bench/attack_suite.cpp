@@ -120,7 +120,6 @@ int main(int argc, char** argv) {
       OracleUnderTest oracle(base, args, 101 + i);
       SatAttackOptions opts;
       opts.max_iterations = 4096;
-      opts.portfolio_size = args.portfolio;
       opts.preprocess = args.preprocess;
       apply_resilience(args, &opts.resilience, &opts.deadline_ms);
       c.r = sat_attack(c.lc, oracle.get(), opts);
@@ -133,8 +132,8 @@ int main(int argc, char** argv) {
     }
     // Deterministic counters only: the results object must stay
     // byte-identical across thread counts. The incremental counters
-    // qualify at the default portfolio of 1 (one solver per attack, fixed
-    // solve sequence); wall times never do.
+    // qualify (one solver per attack, fixed solve sequence); wall times
+    // never do.
     report.add("golden_incremental_rounds",
                static_cast<std::size_t>(part1_rounds));
     report.add("golden_clauses_carried",
@@ -255,11 +254,9 @@ int main(int argc, char** argv) {
                            const BitVec& correct) {
       auto& rows = group_rows[group];
       SatAttackOptions sat_opts;
-      sat_opts.portfolio_size = args.portfolio;
       sat_opts.preprocess = args.preprocess;
       apply_resilience(args, &sat_opts.resilience, &sat_opts.deadline_ms);
       AppSatOptions app_opts;
-      app_opts.portfolio_size = args.portfolio;
       app_opts.preprocess = args.preprocess;
       apply_resilience(args, &app_opts.resilience, &app_opts.deadline_ms);
       {

@@ -1,6 +1,6 @@
 #pragma once
 // Shared plumbing for the table-reproduction benches: --full / --scale /
-// --threads / --portfolio / --json command-line handling, wall-clock
+// --threads / --json command-line handling, wall-clock
 // timing, and a machine-readable JSON record per run so BENCH_*.json perf
 // trajectories can be tracked across commits.
 //
@@ -29,7 +29,6 @@ struct BenchArgs {
   double scale = 0.15;  // default: reduced-cost mode
   bool full = false;
   std::size_t threads = 0;   // 0 = auto (ORAP_THREADS / hardware)
-  std::size_t portfolio = 1; // CDCL portfolio size for SAT-bound benches
   bool preprocess = false;   // SatELite-style CNF simplification
   bool incremental = false;  // single-solver sensitization attack core
   // Oracle-resilience knobs (attack benches; attacks/faulty_oracle.h).
@@ -43,7 +42,6 @@ struct BenchArgs {
   bool help = false;
 
   static constexpr std::size_t kMaxThreads = 1024;
-  static constexpr std::size_t kMaxPortfolio = 64;
   static constexpr std::size_t kMaxVotes = 63;  // odd cap keeps ties rare
 
   /// Strict unsigned parse: whole token, base 10, no sign characters.
@@ -95,14 +93,6 @@ struct BenchArgs {
           *error = std::string("invalid --threads value '") + (arg + 10) +
                    "' (want an integer in [0, " +
                    std::to_string(kMaxThreads) + "])";
-          return false;
-        }
-      } else if (std::strncmp(arg, "--portfolio=", 12) == 0) {
-        if (!parse_size(arg + 12, &a.portfolio) || a.portfolio == 0 ||
-            a.portfolio > kMaxPortfolio) {
-          *error = std::string("invalid --portfolio value '") + (arg + 12) +
-                   "' (want an integer in [1, " +
-                   std::to_string(kMaxPortfolio) + "])";
           return false;
         }
       } else if (std::strcmp(arg, "--preprocess") == 0) {
@@ -191,14 +181,11 @@ struct BenchArgs {
   static void usage(std::FILE* os, const char* prog) {
     std::fprintf(
         os,
-        "usage: %s [--full | --scale=<0..1>] [--threads=N] [--portfolio=N] "
-        "[--json=<path>]\n"
+        "usage: %s [--full | --scale=<0..1>] [--threads=N] [--json=<path>]\n"
         "  --full          paper-scale circuits (slow: minutes)\n"
         "  --scale=S       shrink benchmark circuits to S of paper size\n"
         "  --threads=N     thread-pool size (0 = auto: ORAP_THREADS or "
         "hardware concurrency)\n"
-        "  --portfolio=N   CDCL portfolio size for SAT-solver-bound work "
-        "(default 1)\n"
         "  --preprocess[=0|1]  SatELite-style CNF simplification before "
         "solving (default 0)\n"
         "  --incremental[=0|1] one persistent solver for the "
@@ -240,7 +227,6 @@ struct BenchArgs {
   void banner(const char* what) const {
     std::printf("== %s ==\n", what);
     std::printf("threads: %zu\n", parallel_threads());
-    if (portfolio > 1) std::printf("portfolio: %zu CDCL instances\n", portfolio);
     if (preprocess) std::printf("preprocess: CNF simplification on\n");
     if (incremental)
       std::printf("incremental: persistent single-solver sensitization "
@@ -272,8 +258,8 @@ inline double mpatterns_per_sec(std::size_t patterns, double wall_ms) {
 }
 
 /// Collects result key/value pairs during a bench run and writes one
-/// {bench, scale, threads, portfolio, wall_ms, results} JSON object at the
-/// end. Result values are formatted with fixed precision so a
+/// {bench, scale, threads, knob settings, wall_ms, results} JSON object at
+/// the end. Result values are formatted with fixed precision so a
 /// deterministic run yields a byte-identical file at any thread count.
 class JsonReport {
  public:
@@ -326,7 +312,6 @@ class JsonReport {
     std::snprintf(scale_buf, sizeof scale_buf, "%.4f", args_.scale);
     os << "{\"bench\": \"" << escaped(bench_) << "\", \"scale\": " << scale_buf
        << ", \"threads\": " << parallel_threads()
-       << ", \"portfolio\": " << args_.portfolio
        << ", \"preprocess\": " << (args_.preprocess ? 1 : 0)
        << ", \"incremental\": " << (args_.incremental ? 1 : 0);
     char rate_buf[32];

@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
     const std::size_t k = key_sizes[idx / 3];
     SatAttackOptions opts;
     opts.max_iterations = (std::int64_t{1} << (max_sar + 1));
-    opts.portfolio_size = args.portfolio;
     opts.preprocess = args.preprocess;
     opts.deadline_ms = args.deadline_ms;
     switch (idx % 3) {

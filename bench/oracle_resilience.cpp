@@ -94,7 +94,6 @@ int main(int argc, char** argv) {
                                    : static_cast<Oracle&>(golden);
       SatAttackOptions opts;
       opts.max_iterations = 4096;
-      opts.portfolio_size = args.portfolio;
       opts.preprocess = args.preprocess;
       opts.deadline_ms = args.deadline_ms;
       opts.resilience.votes = p.votes;

@@ -2,7 +2,6 @@
 
 #include "netlist/analysis.h"
 #include "sat/encode.h"
-#include "sat/portfolio.h"
 #include "util/simd.h"
 
 namespace orap {
@@ -28,8 +27,7 @@ std::vector<bool> fanout_cone(const Netlist& n, GateId site) {
 
 std::optional<BitVec> generate_test(
     const Netlist& n, const Fault& f, std::int64_t conflict_budget,
-    bool* aborted_out, std::size_t portfolio_size, bool preprocess,
-    sat::SolverStats* stats_out,
+    bool* aborted_out, bool preprocess, sat::SolverStats* stats_out,
     const std::chrono::steady_clock::time_point* deadline) {
   if (aborted_out != nullptr) *aborted_out = false;
   if (stats_out != nullptr) *stats_out = sat::SolverStats{};
@@ -45,7 +43,7 @@ std::optional<BitVec> generate_test(
   if (reachable_pos.empty()) return std::nullopt;  // cannot reach any PO
   const auto needed = fanin_cone(n, reachable_pos);
 
-  sat::PortfolioSolver s(sat::PortfolioOptions{.size = portfolio_size});
+  sat::Solver s;
   if (deadline != nullptr) s.set_deadline(*deadline);
   sat::Encoder e(s);
 
@@ -162,7 +160,7 @@ std::optional<BitVec> generate_test(
   }
 
   const auto res = s.solve({}, conflict_budget);
-  if (stats_out != nullptr) *stats_out = s.total_stats();
+  if (stats_out != nullptr) *stats_out = s.stats();
   if (res == sat::Solver::Result::kUnknown) {
     if (aborted_out != nullptr) *aborted_out = true;
     return std::nullopt;
@@ -217,8 +215,8 @@ AtpgResult run_atpg(const Netlist& n, const AtpgOptions& opts) {
     bool aborted = false;
     sat::SolverStats qstats;
     const std::optional<BitVec> pattern = generate_test(
-        n, f, opts.conflict_budget, &aborted, opts.portfolio_size,
-        opts.preprocess, &qstats, has_deadline ? &deadline : nullptr);
+        n, f, opts.conflict_budget, &aborted, opts.preprocess, &qstats,
+        has_deadline ? &deadline : nullptr);
     result.solver_rounds += qstats.incremental_rounds;
     if (!pattern.has_value()) {
       if (aborted)

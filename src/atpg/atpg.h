@@ -41,9 +41,6 @@ struct AtpgOptions {
                                         // proofs abort, as in Atalanta)
   std::uint64_t seed = 1;
   bool resimulate_new_patterns = true;  // drop more faults per ATPG pattern
-  /// > 1 races that many diversified CDCL instances per fault query in
-  /// deterministic lockstep epochs (sat/portfolio.h); 1 = single solver.
-  std::size_t portfolio_size = 1;
   /// Runs SatELite-style CNF simplification (sat/simplify.h) on each
   /// good/faulty miter before solving. Fault-site and PI/PO variables are
   /// frozen so the test pattern stays readable from the model.
@@ -66,9 +63,8 @@ struct AtpgResult {
   std::size_t aborted = 0;
   std::vector<BitVec> patterns;  // ATPG-phase patterns only
 
-  // CDCL searches started, one per fault query and portfolio instance;
-  // a query refuted by root-level propagation while its miter was encoded
-  // starts none.
+  // CDCL searches started, one per fault query; a query refuted by
+  // root-level propagation while its miter was encoded starts none.
   std::uint64_t solver_rounds = 0;
 
   // Pseudorandom-phase throughput (satellite of the wide fault simulator):
@@ -88,28 +84,29 @@ struct AtpgResult {
 };
 
 /// Generates a test pattern for one fault (nullopt = redundant or
-/// aborted; `aborted_out` distinguishes the two). portfolio_size > 1
-/// races diversified solver instances on the good/faulty miter;
-/// `preprocess` simplifies the miter CNF before the solve. `stats_out`
-/// (optional) receives the query's summed solver stats. `deadline`
-/// (optional) bounds the query by wall clock: expiry aborts it.
+/// aborted; `aborted_out` distinguishes the two). `preprocess`
+/// simplifies the miter CNF before the solve. `stats_out` (optional)
+/// receives the query's solver stats. `deadline` (optional) bounds the
+/// query by wall clock: expiry aborts it.
 std::optional<BitVec> generate_test(
     const Netlist& n, const Fault& f, std::int64_t conflict_budget,
-    bool* aborted_out, std::size_t portfolio_size = 1, bool preprocess = false,
+    bool* aborted_out, bool preprocess = false,
     sat::SolverStats* stats_out = nullptr,
     const std::chrono::steady_clock::time_point* deadline = nullptr);
 
-/// Positional form that still passes the retired cube-split depth between
-/// `preprocess` and `stats_out`, kept so existing callers compile. Cube
-/// splitting no longer exists: `split_depth` must be 0.
+/// Positional form that still passes the retired portfolio size (solver
+/// instances per query) and cube-split depth, kept so existing callers
+/// compile. Neither the portfolio nor cube splitting exists any more:
+/// `instances` must be 1 and `split_depth` 0.
 inline std::optional<BitVec> generate_test(
     const Netlist& n, const Fault& f, std::int64_t conflict_budget,
-    bool* aborted_out, std::size_t portfolio_size, bool preprocess,
+    bool* aborted_out, std::size_t instances, bool preprocess,
     int split_depth, sat::SolverStats* stats_out,
     const std::chrono::steady_clock::time_point* deadline = nullptr) {
+  ORAP_CHECK_MSG(instances == 1, "one solver instance per query");
   ORAP_CHECK_MSG(split_depth == 0, "cube splitting was removed");
-  return generate_test(n, f, conflict_budget, aborted_out, portfolio_size,
-                       preprocess, stats_out, deadline);
+  return generate_test(n, f, conflict_budget, aborted_out, preprocess,
+                       stats_out, deadline);
 }
 
 /// The full Table II flow: collapse faults, pseudorandom phase with

@@ -3,7 +3,7 @@
 //
 // Every oracle-guided attack in this repository is deterministic given the
 // sequence of oracle responses (the determinism contract regression-tested
-// across the threads x portfolio grid). That makes the oracle I/O
+// across thread counts). That makes the oracle I/O
 // transcript a complete checkpoint of attack state: re-running the attack
 // from scratch while serving the recorded responses for the prefix of
 // queries reproduces the exact trajectory — the same DIPs, the same

@@ -20,7 +20,7 @@ namespace orap {
 
 class LockedEncoder {
  public:
-  LockedEncoder(sat::ClauseSink& solver, const LockedCircuit& lc)
+  LockedEncoder(sat::Solver& solver, const LockedCircuit& lc)
       : s_(solver), enc_(solver), lc_(lc), sim_(lc.netlist) {
     // Forward key-dependence marking.
     key_dep_.assign(lc.netlist.num_gates(), false);
@@ -49,7 +49,7 @@ class LockedEncoder {
   /// Freezes the encoder-owned interface vars (the constants) against
   /// preprocessing. Attacks call this — together with freezing their data
   /// inputs, key vectors, activation literal and miter outputs — before
-  /// Solver/PortfolioSolver::simplify(), because every later
+  /// Solver::simplify(), because every later
   /// add_io_constraint() references the key vars and the constants.
   void freeze_interface() {
     s_.freeze(const_true_);
@@ -370,7 +370,7 @@ class LockedEncoder {
     return const_false_;
   }
 
-  sat::ClauseSink& s_;
+  sat::Solver& s_;
   sat::Encoder enc_;
   const LockedCircuit& lc_;
   Simulator sim_;

@@ -9,7 +9,6 @@
 #include "attacks/encode_util.h"
 #include "netlist/simulator.h"
 #include "sat/encode.h"
-#include "sat/portfolio.h"
 #include "sat/simplify.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -37,7 +36,7 @@ struct PairRecord {
 /// Shared state of the DIP loop.
 struct AttackContext {
   const LockedCircuit& lc;
-  sat::PortfolioSolver solver;
+  Solver solver;
   LockedEncoder lenc;
   std::vector<Var> x;    // shared data-input vars of the miter
   std::vector<Var> k1;   // key copy 1
@@ -70,11 +69,9 @@ struct AttackContext {
   std::chrono::steady_clock::time_point deadline{};
 
   AttackContext(const LockedCircuit& locked, Oracle& orc,
-                std::size_t portfolio_size,
                 const OracleResilienceOptions& resilience,
                 std::int64_t deadline_ms)
       : lc(locked),
-        solver(sat::PortfolioOptions{.size = portfolio_size}),
         lenc(solver, locked),
         oracle(&orc),
         res(resilience) {
@@ -481,6 +478,7 @@ struct AttackContext {
     result->eliminated_vars = st.eliminated_vars;
     result->removed_clauses = st.simplify_removed_clauses;
     result->simplify_ms = st.simplify_ms;
+    result->solver_wall_ms = st.solve_wall_ms;
     result->oracle_retries = oracle_retries;
     result->vote_queries = vote_queries;
     result->evicted_pairs = evicted_pairs;
@@ -518,7 +516,7 @@ struct AttackContext {
   }
 };
 
-std::vector<Var> fresh_vars(sat::ClauseSink& s, std::size_t n) {
+std::vector<Var> fresh_vars(Solver& s, std::size_t n) {
   std::vector<Var> v(n);
   for (auto& x : v) x = s.new_var();
   return v;
@@ -799,8 +797,7 @@ SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
   ORAP_CHECK(oracle.num_inputs() == locked.num_data_inputs);
   ORAP_CHECK(oracle.num_outputs() == locked.netlist.num_outputs());
 
-  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.resilience,
-                    opts.deadline_ms);
+  AttackContext ctx(locked, oracle, opts.resilience, opts.deadline_ms);
   ctx.batch = opts.oracle_batch;
   ctx.dip_batch = opts.dip_batch < 1 ? 1 : opts.dip_batch;
   ctx.x = fresh_vars(ctx.solver, ctx.nd());
@@ -826,7 +823,6 @@ SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
   SatAttackResult result;
   const auto finish = [&ctx, &result, &oracle] {
     result.oracle_queries = oracle.query_count();
-    result.solver_wall_ms = ctx.solver.portfolio_stats().solve_wall_ms;
     ctx.fill_solver_stats(&result);
   };
   std::size_t repair_rounds = 0;
@@ -900,8 +896,7 @@ SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
 
 SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
                               const AppSatOptions& opts) {
-  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.resilience,
-                    opts.deadline_ms);
+  AttackContext ctx(locked, oracle, opts.resilience, opts.deadline_ms);
   ctx.batch = opts.oracle_batch;
   ctx.x = fresh_vars(ctx.solver, ctx.nd());
   ctx.k1 = fresh_vars(ctx.solver, ctx.nk());
@@ -926,7 +921,6 @@ SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
   std::size_t clean_rounds = 0;
   const auto finish = [&ctx, &result, &oracle] {
     result.oracle_queries = oracle.query_count();
-    result.solver_wall_ms = ctx.solver.portfolio_stats().solve_wall_ms;
     ctx.fill_solver_stats(&result);
   };
   std::size_t repair_rounds = 0;
@@ -1070,8 +1064,7 @@ SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
 
 SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
                                   const SatAttackOptions& opts) {
-  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.resilience,
-                    opts.deadline_ms);
+  AttackContext ctx(locked, oracle, opts.resilience, opts.deadline_ms);
   ctx.batch = opts.oracle_batch;
   ctx.dip_batch = opts.dip_batch < 1 ? 1 : opts.dip_batch;
   ctx.x = fresh_vars(ctx.solver, ctx.nd());
@@ -1081,7 +1074,7 @@ SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
   auto k4 = fresh_vars(ctx.solver, ctx.nk());
   ctx.act = ctx.solver.new_var();
   ctx.key_sets = {ctx.k1, ctx.k2, k3, k4};
-  sat::PortfolioSolver& s = ctx.solver;
+  Solver& s = ctx.solver;
   Encoder& e = ctx.enc();
 
   const auto a = ctx.lenc.encode_full(ctx.x, ctx.k1);
@@ -1120,7 +1113,6 @@ SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
   SatAttackResult result;
   const auto finish = [&ctx, &result, &oracle] {
     result.oracle_queries = oracle.query_count();
-    result.solver_wall_ms = ctx.solver.portfolio_stats().solve_wall_ms;
     ctx.fill_solver_stats(&result);
   };
   std::size_t repair_rounds = 0;

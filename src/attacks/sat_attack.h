@@ -54,19 +54,16 @@ struct OracleResilienceOptions {
 /// pair enters it as a constant-folded key cone
 /// (LockedEncoder::add_io_constraint), so the formula grows slowly across
 /// iterations and learnt clauses carry from DIP to DIP. For fixed options
-/// the result is bit-identical at any thread count and portfolio size.
+/// the result is bit-identical at any thread count.
 struct SatAttackOptions {
   std::int64_t max_iterations = 4096;
   std::int64_t conflict_budget = -1;  // per SAT call; <0 = unlimited
   /// Wall-clock deadline for the whole attack; < 0 = none. Checked between
-  /// DIP iterations and inside every solver epoch; expiry surfaces as
+  /// DIP iterations and inside every solve call; expiry surfaces as
   /// kSolverBudget. Timing-dependent by nature, so it waives the
   /// bit-identity contract only when it actually fires.
   std::int64_t deadline_ms = -1;
   OracleResilienceOptions resilience;
-  /// > 1 races that many diversified CDCL instances per SAT call in
-  /// deterministic lockstep epochs (sat/portfolio.h); 1 = single solver.
-  std::size_t portfolio_size = 1;
   /// Runs SatELite-style CNF simplification (sat/simplify.h) on the miter
   /// once before the DIP loop. The attack freezes its interface variables
   /// (data inputs, key vectors, activation literal, miter outputs, encoder
@@ -166,7 +163,6 @@ struct AppSatOptions {
   std::size_t random_queries = 64;   // samples per round
   std::size_t settle_rounds = 2;     // consecutive clean rounds to stop
   std::uint64_t seed = 1;
-  std::size_t portfolio_size = 1;    // as in SatAttackOptions
   bool preprocess = false;           // as in SatAttackOptions
   std::int64_t deadline_ms = -1;     // as in SatAttackOptions
   /// As in SatAttackOptions: batches each random-sampling round's

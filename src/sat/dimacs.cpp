@@ -7,7 +7,7 @@
 
 namespace orap::sat {
 
-bool Cnf::load_into(ClauseSink& s) const {
+bool Cnf::load_into(Solver& s) const {
   while (s.num_vars() < num_vars) s.new_var();
   bool ok = true;
   for (const auto& cl : clauses) ok &= s.add_clause(cl);

@@ -16,9 +16,9 @@ struct Cnf {
   std::size_t num_vars = 0;
   std::vector<std::vector<Lit>> clauses;
 
-  /// Loads the CNF into a solver or portfolio (creating num_vars
-  /// variables). Returns false if the formula is trivially UNSAT at root.
-  bool load_into(ClauseSink& s) const;
+  /// Loads the CNF into a solver (creating num_vars variables). Returns
+  /// false if the formula is trivially UNSAT at root.
+  bool load_into(Solver& s) const;
 };
 
 /// Parses DIMACS text ("p cnf V C" header, clauses terminated by 0,

@@ -1,6 +1,5 @@
 #pragma once
-// Tseitin encoding of a Netlist into a ClauseSink (a sat::Solver or a
-// PortfolioSolver fanning out to N diversified instances).
+// Tseitin encoding of a Netlist into a sat::Solver.
 //
 // Every gate gets one variable; gate semantics become clauses. Multiple
 // independent copies of the same circuit can be encoded into one solver
@@ -23,7 +22,7 @@ struct CircuitVars {
 
 class Encoder {
  public:
-  explicit Encoder(ClauseSink& s) : s_(s) {}
+  explicit Encoder(Solver& s) : s_(s) {}
 
   /// Encodes a full copy of `n`. If `shared_inputs` is non-empty it must
   /// have one entry per netlist input; kNoVar entries get fresh variables.
@@ -56,10 +55,8 @@ class Encoder {
   /// out-difference: at least one position differs (adds a miter).
   void force_not_equal(const std::vector<Var>& a, const std::vector<Var>& b);
 
-  ClauseSink& sink() { return s_; }
-
  private:
-  ClauseSink& s_;
+  Solver& s_;
   std::vector<Lit> big_;  // encode_gate scratch (no per-gate allocation)
 };
 

@@ -11,7 +11,7 @@ namespace orap::sat {
 namespace {
 
 // Luby restart sequence (finite-subsequence doubling); the conflict unit
-// is Solver::restart_unit_ (default 100, diversified across a portfolio).
+// is Solver::kRestartUnit.
 double luby(double y, int x) {
   int size, seq;
   for (size = 1, seq = 0; size < x + 1; seq++, size = 2 * size + 1) {
@@ -205,17 +205,6 @@ void Solver::var_bump(Var v) {
 }
 
 void Solver::var_decay_all() { var_inc_ /= var_decay_; }
-
-void Solver::set_phase(Var v, bool value) {
-  ORAP_CHECK(v >= 0 && static_cast<std::size_t>(v) < saved_phase_.size());
-  saved_phase_[v] = value ? LBool::kTrue : LBool::kFalse;
-}
-
-void Solver::nudge_activity(Var v, double amount) {
-  ORAP_CHECK(v >= 0 && static_cast<std::size_t>(v) < activity_.size());
-  activity_[v] += amount;
-  if (heap_contains(v)) heap_percolate_up(heap_pos_[v]);
-}
 
 void Solver::clause_bump(ClauseRef c) {
   ClauseHeader& h = header(c);
@@ -426,6 +415,16 @@ void Solver::reduce_db() {
 
 Solver::Result Solver::solve(std::span<const Lit> assumptions,
                              std::int64_t conflict_budget) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const Result r = search(assumptions, conflict_budget);
+  stats_.solve_wall_ms += std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  return r;
+}
+
+Solver::Result Solver::search(std::span<const Lit> assumptions,
+                              std::int64_t conflict_budget) {
   // Clear previous results before the root-conflict early-out: a formula
   // that is UNSAT at root has the documented *empty* conflict core, not a
   // stale one from an earlier assumption-driven call.
@@ -453,7 +452,7 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
   int restart_count = 0;
   std::int64_t restart_limit =
       static_cast<std::int64_t>(luby(2.0, restart_count) *
-                                static_cast<double>(restart_unit_));
+                                static_cast<double>(kRestartUnit));
   std::int64_t conflicts_this_restart = 0;
 
   std::vector<Lit> learnt;
@@ -479,10 +478,6 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
       } else {
         const ClauseRef c = alloc_clause(learnt, /*learnt=*/true);
         header(c).lbd = compute_lbd(learnt);
-        if (export_max_lbd_ != 0 && header(c).lbd <= export_max_lbd_ &&
-            export_buf_.size() < kMaxExportBuffer) {
-          export_buf_.push_back(learnt);
-        }
         learnts_.push_back(c);
         attach_clause(c);
         clause_bump(c);
@@ -512,7 +507,7 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
       ++restart_count;
       restart_limit =
           static_cast<std::int64_t>(luby(2.0, restart_count) *
-                                    static_cast<double>(restart_unit_));
+                                    static_cast<double>(kRestartUnit));
       conflicts_this_restart = 0;
       cancel_until(0);
       continue;
@@ -663,35 +658,6 @@ void Solver::extend_model() {
     }
     end = begin;
   }
-}
-
-void Solver::adopt_simplification_from(const Solver& src) {
-  ORAP_CHECK(num_vars() == src.num_vars());
-  ORAP_CHECK_MSG(decision_level() == 0 && src.trail_lim_.empty(),
-                 "adopt_simplification_from only at root level");
-  ok_ = src.ok_;
-  arena_ = src.arena_;
-  clauses_ = src.clauses_;
-  learnts_.clear();
-  watches_ = src.watches_;
-  assigns_ = src.assigns_;
-  var_data_ = src.var_data_;
-  trail_ = src.trail_;
-  qhead_ = src.qhead_;
-  frozen_ = src.frozen_;
-  eliminated_ = src.eliminated_;
-  elim_lits_ = src.elim_lits_;
-  elim_block_size_ = src.elim_block_size_;
-  model_.clear();
-  conflict_core_.clear();
-  export_buf_.clear();
-  stats_.eliminated_vars = src.stats_.eliminated_vars;
-  stats_.simplify_removed_clauses = src.stats_.simplify_removed_clauses;
-  stats_.simplify_subsumed = src.stats_.simplify_subsumed;
-  stats_.simplify_strengthened = src.stats_.simplify_strengthened;
-  stats_.simplify_ms = src.stats_.simplify_ms;
-  // Diversification state (activity, saved phases, restart unit) is
-  // deliberately untouched — each instance keeps its own trajectory.
 }
 
 // --- binary max-heap on activity -------------------------------------------

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -68,59 +69,39 @@ struct SolverStats {
   double simplify_ms = 0.0;
 
   // Incremental-solving counters. Learnt clauses persist across solve()
-  // calls on the same instance (only simplify() and
-  // adopt_simplification_from() drop them), so clauses_carried — the
-  // learnt count alive at each solve() entry, summed — measures how much
-  // derived knowledge later rounds start from, and incremental_rounds
-  // counts the solve() calls answered by one instance. encode_reused is
-  // filled by the encoding layer (attacks/encode_util.h, atpg): gates
-  // resolved against the persistent formula without fresh clauses.
+  // calls on the same instance (only simplify() drops them), so
+  // clauses_carried — the learnt count alive at each solve() entry,
+  // summed — measures how much derived knowledge later rounds start from,
+  // and incremental_rounds counts the solve() calls answered by one
+  // instance. encode_reused is filled by the encoding layer
+  // (attacks/encode_util.h, atpg): gates resolved against the persistent
+  // formula without fresh clauses.
   std::uint64_t clauses_carried = 0;
   std::uint64_t incremental_rounds = 0;
   std::uint64_t encode_reused = 0;
+
+  // Wall time spent inside solve(), summed over every call.
+  double solve_wall_ms = 0.0;
 };
 
 struct SimplifyOptions;  // sat/simplify.h
 
-/// Anything that accepts fresh variables and clauses: a single Solver or a
-/// PortfolioSolver fanning the same clause database out to N instances.
-/// The encoders (sat::Encoder, LockedEncoder, Cnf::load_into) build
-/// against this interface so every consumer can swap in a portfolio.
-class ClauseSink {
- public:
-  virtual ~ClauseSink() = default;
-
-  virtual Var new_var() = 0;
-  virtual std::size_t num_vars() const = 0;
-
-  /// Adds a clause. Returns false if the formula became trivially UNSAT.
-  /// Literals are deduplicated; tautologies are dropped. The span is only
-  /// read during the call, so callers may reuse a scratch buffer.
-  virtual bool add_clause(std::span<const Lit> lits) = 0;
-  bool add_clause(std::initializer_list<Lit> lits) {
-    return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
-  }
-
-  /// Protects a variable from preprocessing (see Solver::simplify): any
-  /// variable that later add_clause() calls or solve() assumptions will
-  /// mention must be frozen before simplify() runs, because eliminated
-  /// variables leave the formula for good. No-ops on sinks that never
-  /// simplify.
-  virtual void freeze(Var) {}
-  virtual void thaw(Var) {}
-};
-
-class Solver : public ClauseSink {
+class Solver {
  public:
   enum class Result { kSat, kUnsat, kUnknown };
 
   Solver();
 
-  Var new_var() override;
-  std::size_t num_vars() const override { return assigns_.size(); }
+  Var new_var();
+  std::size_t num_vars() const { return assigns_.size(); }
 
-  bool add_clause(std::span<const Lit> lits) override;
-  using ClauseSink::add_clause;
+  /// Adds a clause. Returns false if the formula became trivially UNSAT.
+  /// Literals are deduplicated; tautologies are dropped. The span is only
+  /// read during the call, so callers may reuse a scratch buffer.
+  bool add_clause(std::span<const Lit> lits);
+  bool add_clause(std::initializer_list<Lit> lits) {
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
 
   /// Solves under assumptions. conflict_budget < 0 means unlimited;
   /// exceeding the budget yields kUnknown (an "aborted" query).
@@ -145,8 +126,12 @@ class Solver : public ClauseSink {
 
   // --- SatELite-style preprocessing (sat/simplify.h) ----------------------
 
-  void freeze(Var v) override { frozen_[v] = true; }
-  void thaw(Var v) override { frozen_[v] = false; }
+  /// Protects a variable from preprocessing: any variable that later
+  /// add_clause() calls or solve() assumptions will mention must be frozen
+  /// before simplify() runs, because eliminated variables leave the
+  /// formula for good.
+  void freeze(Var v) { frozen_[v] = true; }
+  void thaw(Var v) { frozen_[v] = false; }
 
   /// Runs one in-place simplification pass (bounded variable elimination +
   /// subsumption) over the problem clauses at decision level 0. Frozen and
@@ -159,13 +144,6 @@ class Solver : public ClauseSink {
 
   /// True once v has been resolved out by simplify().
   bool is_eliminated(Var v) const { return eliminated_[v] != 0; }
-
-  /// Copies the simplified clause database (and everything needed to keep
-  /// searching + reconstructing models) from `src`, which must have the
-  /// same variable count. Own diversification state (activity, phases,
-  /// restart unit) is preserved — this is how a portfolio simplifies once
-  /// and fans out.
-  void adopt_simplification_from(const Solver& src);
 
   /// Model access after kSat.
   bool model_value(Var v) const {
@@ -185,40 +163,6 @@ class Solver : public ClauseSink {
   void set_clause_decay(double d) { clause_decay_ = d; }
   /// Learnt-clause cap before reduce_db triggers (test knob).
   void set_max_learnts(std::size_t n) { max_learnts_ = n < 8 ? 8 : n; }
-
-  // --- portfolio diversification & sharing hooks --------------------------
-  // A PortfolioSolver runs N instances over the same clause database; the
-  // knobs below give each instance a distinct search trajectory, and the
-  // export hooks let the barrier move root units / glue clauses between
-  // instances. All of them are safe no-ops for plain single-solver use.
-
-  /// Luby restart unit in conflicts (default 100).
-  void set_restart_unit(std::int64_t unit) {
-    restart_unit_ = unit < 1 ? 1 : unit;
-  }
-
-  /// Overrides the saved phase (initial branching polarity) of a variable.
-  void set_phase(Var v, bool value);
-
-  /// Adds `amount` to a variable's VSIDS activity — a deterministic way to
-  /// pre-seed distinct decision orders across portfolio instances.
-  void nudge_activity(Var v, double amount);
-
-  /// Enables export of learnt clauses with LBD <= max_lbd (0 = disabled,
-  /// the default). Exported clauses accumulate until clear_exported().
-  void set_export_max_lbd(std::uint32_t max_lbd) { export_max_lbd_ = max_lbd; }
-  const std::vector<std::vector<Lit>>& exported_learnts() const {
-    return export_buf_;
-  }
-  void clear_exported_learnts() { export_buf_.clear(); }
-
-  /// Root-level (decision level 0) assignments — formula-implied unit
-  /// facts, never assumption-dependent. Only valid between solve() calls
-  /// (the solver always returns at level 0).
-  std::span<const Lit> root_trail() const {
-    ORAP_DCHECK(trail_lim_.empty());
-    return {trail_.data(), trail_.size()};
-  }
 
  private:
   // --- clause arena -------------------------------------------------------
@@ -267,6 +211,9 @@ class Solver : public ClauseSink {
   std::int32_t decision_level() const {
     return static_cast<std::int32_t>(trail_lim_.size());
   }
+
+  Result search(std::span<const Lit> assumptions,
+               std::int64_t conflict_budget);
 
   // --- conflict analysis --------------------------------------------------
   void analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
@@ -337,13 +284,10 @@ class Solver : public ClauseSink {
   std::vector<std::uint32_t> lbd_stamp_;  // per-level marker for LBD calc
   std::uint32_t lbd_epoch_ = 0;
 
-  std::int64_t restart_unit_ = 100;  // Luby unit, in conflicts
+  static constexpr std::int64_t kRestartUnit = 100;  // Luby unit, conflicts
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
   std::uint32_t deadline_poll_ = 0;  // throttles clock reads in solve()
-  std::uint32_t export_max_lbd_ = 0;
-  static constexpr std::size_t kMaxExportBuffer = 4096;
-  std::vector<std::vector<Lit>> export_buf_;
 
   SolverStats stats_;
 };

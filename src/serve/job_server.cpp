@@ -102,12 +102,13 @@ std::uint64_t job_config_hash(const AttackJob& job) {
   hash_u64(&buf, res.quarantine ? 1 : 0);
   hash_u64(&buf, res.max_evictions);
   hash_u64(&buf, res.degraded_samples);
-  hash_u64(&buf, app ? job.appsat.portfolio_size : job.sat.portfolio_size);
-  // The next two slots once hashed the cube-split depth and the
-  // constant-folding switch. The attacks now always fold and never split,
-  // so they hash the constants 0 and 1: checkpoints written with folding
-  // on and no splitting still resume, and any other old checkpoint is
-  // refused as a config mismatch instead of diverging on replay.
+  // Three retired slots: the portfolio size, the cube-split depth and
+  // (after preprocess) the constant-folding switch. The attacks now run
+  // one solver, never split and always fold, so the slots hash the
+  // constants 1, 0 and 1: checkpoints written with that configuration
+  // still resume, and any other old checkpoint is refused as a config
+  // mismatch instead of diverging on replay.
+  hash_u64(&buf, 1);
   hash_u64(&buf, 0);
   hash_u64(&buf, (app ? job.appsat.preprocess : job.sat.preprocess) ? 1 : 0);
   hash_u64(&buf, 1);

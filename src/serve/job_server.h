@@ -11,7 +11,7 @@
 // uninterrupted run produces.
 //
 // Jobs run via parallel_for with grain 1, so the pool schedules them;
-// each job's own attack-internal parallelism (the portfolio) runs
+// each job's own attack-internal parallelism (key verification) runs
 // inline inside the job's worker (nested regions do), keeping the
 // per-job trajectory independent of how many jobs share the pool.
 //

@@ -86,12 +86,9 @@ TEST(SatAttack, SarlockNeedsExponentialDips) {
   EXPECT_LT(r2.iterations, 64u);
 }
 
-TEST(SatAttack, PortfolioSizesAgreeBitIdentically) {
-  // Acceptance criterion for the portfolio solver: the attack result —
-  // key bits, DIP count, oracle queries — is identical for portfolio
-  // sizes 1, 2 and 4, and for each size identical between 1 and 4 pool
-  // threads. (Instance 0 runs the stock configuration, so easy DIP
-  // queries resolve in its first epoch and sizes are interchangeable.)
+TEST(SatAttack, ThreadCountsAgreeBitIdentically) {
+  // The attack result — key bits, DIP count, oracle queries — is
+  // identical between 1 and 4 pool threads.
   const Netlist n = small_circuit(40);
   const LockedCircuit lc = lock_weighted(n, 14, 3, 41);
   struct Outcome {
@@ -101,16 +98,11 @@ TEST(SatAttack, PortfolioSizesAgreeBitIdentically) {
   std::vector<Outcome> outcomes;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     set_parallel_threads(threads);
-    for (const std::size_t psize :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      GoldenOracle oracle(lc);
-      SatAttackOptions opts;
-      opts.portfolio_size = psize;
-      const SatAttackResult r = sat_attack(lc, oracle, opts);
-      ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound)
-          << "threads " << threads << " portfolio " << psize;
-      outcomes.push_back({r.key, r.iterations, r.oracle_queries});
-    }
+    GoldenOracle oracle(lc);
+    const SatAttackResult r = sat_attack(lc, oracle);
+    ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound)
+        << "threads " << threads;
+    outcomes.push_back({r.key, r.iterations, r.oracle_queries});
   }
   set_parallel_threads(0);
   for (std::size_t i = 1; i < outcomes.size(); ++i) {
@@ -121,13 +113,11 @@ TEST(SatAttack, PortfolioSizesAgreeBitIdentically) {
   EXPECT_TRUE(key_equivalent(lc, outcomes[0].key));
 }
 
-TEST(SatAttack, PortfolioReportsSolverWallTime) {
+TEST(SatAttack, ReportsSolverWallTime) {
   const Netlist n = small_circuit(43);
   const LockedCircuit lc = lock_random_xor(n, 12, 44);
   GoldenOracle oracle(lc);
-  SatAttackOptions opts;
-  opts.portfolio_size = 2;
-  const SatAttackResult r = sat_attack(lc, oracle, opts);
+  const SatAttackResult r = sat_attack(lc, oracle);
   ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound);
   EXPECT_GT(r.solver_wall_ms, 0.0);
 }

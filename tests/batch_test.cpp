@@ -210,16 +210,15 @@ TEST(Batch, BudgetedOracleChargesOnlyTheFittingPrefix) {
 TEST(Batch, AttackBatchedMatchesSerialAcrossGrid) {
   // With oracle_batch on (dip_batch = 1) and no retryable errors firing,
   // the attack trajectory is byte-identical to serial execution — across
-  // thread counts, portfolio, and majority votes.
+  // thread counts and majority votes.
   const LockedCircuit lc = multi_dip_lock();
   struct Config {
-    std::size_t threads, portfolio, votes;
+    std::size_t threads, votes;
   };
-  const Config grid[] = {{1, 1, 1}, {3, 2, 1}, {3, 1, 1}, {1, 1, 3}, {3, 2, 3}};
+  const Config grid[] = {{1, 1}, {3, 1}, {1, 3}, {3, 3}};
   for (const Config& cfg : grid) {
     set_parallel_threads(cfg.threads);
     SatAttackOptions opts;
-    opts.portfolio_size = cfg.portfolio;
     opts.resilience.votes = cfg.votes;
 
     GoldenOracle serial_oracle(lc);

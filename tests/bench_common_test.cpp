@@ -45,16 +45,14 @@ TEST(BenchArgs, Defaults) {
   EXPECT_DOUBLE_EQ(a.scale, 0.15);
   EXPECT_FALSE(a.full);
   EXPECT_EQ(a.threads, 0u);
-  EXPECT_EQ(a.portfolio, 1u);
   EXPECT_TRUE(a.json_path.empty());
 }
 
 TEST(BenchArgs, ParsesAllFlags) {
   const BenchArgs a = must_parse(
-      {"--scale=0.5", "--threads=8", "--portfolio=4", "--json=/tmp/r.json"});
+      {"--scale=0.5", "--threads=8", "--json=/tmp/r.json"});
   EXPECT_DOUBLE_EQ(a.scale, 0.5);
   EXPECT_EQ(a.threads, 8u);
-  EXPECT_EQ(a.portfolio, 4u);
   EXPECT_EQ(a.json_path, "/tmp/r.json");
 }
 
@@ -77,7 +75,7 @@ TEST(BenchArgs, RejectsNonNumericScale) {
 TEST(BenchArgs, RejectsTrailingGarbage) {
   must_fail({"--threads=4x"});
   must_fail({"--scale=0.5abc"});
-  must_fail({"--portfolio=2,"});
+  must_fail({"--deadline-ms=2,"});
 }
 
 TEST(BenchArgs, RejectsOutOfRangeValues) {
@@ -86,8 +84,8 @@ TEST(BenchArgs, RejectsOutOfRangeValues) {
   must_fail({"--scale=inf"});
   must_fail({"--scale=nan"});
   must_fail({"--threads=99999999"});
-  must_fail({"--portfolio=0"});
-  must_fail({"--portfolio=1000"});
+  must_fail({"--oracle-votes=0"});
+  must_fail({"--oracle-votes=1000"});
 }
 
 TEST(BenchArgs, RejectsUnknownFlags) {
@@ -95,6 +93,8 @@ TEST(BenchArgs, RejectsUnknownFlags) {
   EXPECT_NE(e.find("unknown"), std::string::npos);
   must_fail({"--bogus"});
   must_fail({"extra-positional"});
+  // A retired knob is an unknown flag, not a silently ignored one.
+  EXPECT_NE(must_fail({"--portfolio=4"}).find("unknown"), std::string::npos);
 }
 
 TEST(BenchArgs, RejectsEmptyValues) {

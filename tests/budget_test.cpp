@@ -2,7 +2,7 @@
 // surface as kSolverBudget (attacks) / aborted (ATPG) — never as
 // kInconsistentOracle, which is reserved for a genuinely lying oracle
 // (the OraP signal). Covers all three oracle-guided attacks and the ATPG
-// flow across the threads x portfolio configuration grid, plus the
+// flow across pool thread counts, plus the
 // AppSAT regression (it used to ignore conflict_budget entirely) and
 // real-budget aborts mid-loop.
 
@@ -31,33 +31,21 @@ Netlist small_circuit(std::uint64_t seed) {
   return generate_circuit(spec);
 }
 
-struct GridPoint {
-  std::size_t threads, portfolio;
-};
-
-std::vector<GridPoint> config_grid() {
-  std::vector<GridPoint> grid;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}})
-    for (const std::size_t portfolio : {std::size_t{1}, std::size_t{3}})
-      grid.push_back({threads, portfolio});
-  return grid;
-}
+constexpr std::size_t kThreadCounts[] = {1, 4};
 
 TEST(Budget, ZeroBudgetSurfacesAsSolverBudgetAcrossGrid) {
   // Budget 0 is the tightest possible budget: the very first SAT query
-  // aborts, deterministically in every configuration. Each attack must
+  // aborts, deterministically at every thread count. Each attack must
   // report kSolverBudget — a budget abort is not evidence of a lying
   // oracle.
   const Netlist n = small_circuit(60);
   const LockedCircuit lc = lock_weighted(n, 14, 3, 61);
-  for (const GridPoint g : config_grid()) {
-    set_parallel_threads(g.threads);
+  for (const std::size_t threads : kThreadCounts) {
+    set_parallel_threads(threads);
     SatAttackOptions sat_opts;
     sat_opts.conflict_budget = 0;
-    sat_opts.portfolio_size = g.portfolio;
     AppSatOptions app_opts;
     app_opts.conflict_budget = 0;
-    app_opts.portfolio_size = g.portfolio;
 
     const char* const names[] = {"sat", "appsat", "double_dip"};
     SatAttackResult results[3];
@@ -75,8 +63,7 @@ TEST(Budget, ZeroBudgetSurfacesAsSolverBudgetAcrossGrid) {
     }
     for (int i = 0; i < 3; ++i) {
       EXPECT_EQ(results[i].status, SatAttackResult::Status::kSolverBudget)
-          << names[i] << " threads " << g.threads << " portfolio "
-          << g.portfolio;
+          << names[i] << " threads " << threads;
       EXPECT_NE(results[i].status,
                 SatAttackResult::Status::kInconsistentOracle);
     }
@@ -86,16 +73,15 @@ TEST(Budget, ZeroBudgetSurfacesAsSolverBudgetAcrossGrid) {
 
 TEST(Budget, AtpgZeroBudgetAbortsDeterministicallyAcrossGrid) {
   // Every SAT-phase fault query aborts on a zero budget, so the
-  // aborted/redundant/detected split must be identical at every grid
-  // point (the ATPG phase does no solver work that could diverge).
+  // aborted/redundant/detected split must be identical at every thread
+  // count (the ATPG phase does no solver work that could diverge).
   const Netlist n = small_circuit(62);
   std::vector<AtpgResult> results;
-  for (const GridPoint g : config_grid()) {
-    set_parallel_threads(g.threads);
+  for (const std::size_t threads : kThreadCounts) {
+    set_parallel_threads(threads);
     AtpgOptions opts;
     opts.random_words = 16;  // leave real work for the SAT phase
     opts.conflict_budget = 0;
-    opts.portfolio_size = g.portfolio;
     results.push_back(run_atpg(n, opts));
   }
   set_parallel_threads(0);
@@ -157,29 +143,23 @@ TEST(Budget, AppSatUnlimitedBudgetStillFindsKeys) {
   EXPECT_EQ(verify_key_against_oracle(lc, r.key, verify_oracle, 64, 5), 0u);
 }
 
-TEST(Budget, PortfolioAndSingleReachSameStatusUnderSameBudget) {
-  // Same-budget parity (the portfolio over-charging regression): with the
-  // budget charged by actual conflict deltas, a budget generous enough
-  // for the single solver must also let every portfolio size decide, and
-  // a zero budget must abort everywhere.
+TEST(Budget, GenerousBudgetMatchesUnlimitedRun) {
+  // A per-call budget that no query exhausts must leave the trajectory
+  // untouched: same status, DIPs and key as the unlimited run.
   const Netlist n = small_circuit(69);
   const LockedCircuit lc = lock_weighted(n, 14, 3, 70);
-  for (const std::int64_t budget : {std::int64_t{0}, std::int64_t{200000}}) {
-    SatAttackResult::Status statuses[2];
-    std::size_t idx = 0;
-    for (const std::size_t portfolio : {std::size_t{1}, std::size_t{3}}) {
-      GoldenOracle oracle(lc);
-      SatAttackOptions opts;
-      opts.conflict_budget = budget;
-      opts.portfolio_size = portfolio;
-      statuses[idx++] = sat_attack(lc, oracle, opts).status;
-    }
-    EXPECT_EQ(statuses[0], statuses[1]) << "budget " << budget;
-    EXPECT_EQ(statuses[0], budget == 0
-                               ? SatAttackResult::Status::kSolverBudget
-                               : SatAttackResult::Status::kKeyFound)
-        << "budget " << budget;
+  SatAttackResult results[2];
+  const std::int64_t budgets[] = {-1, 200000};
+  for (int i = 0; i < 2; ++i) {
+    GoldenOracle oracle(lc);
+    SatAttackOptions opts;
+    opts.conflict_budget = budgets[i];
+    results[i] = sat_attack(lc, oracle, opts);
   }
+  ASSERT_EQ(results[0].status, SatAttackResult::Status::kKeyFound);
+  EXPECT_EQ(results[1].status, results[0].status);
+  EXPECT_EQ(results[1].iterations, results[0].iterations);
+  EXPECT_EQ(results[1].key, results[0].key);
 }
 
 TEST(Budget, DeadlineInQuarantineRepairSurfacesAsSolverBudget) {
@@ -225,7 +205,7 @@ TEST(Budget, DeadlineInQuarantineRepairSurfacesAsSolverBudget) {
 TEST(Budget, NoisyQuarantineAttackIsDeterministicAcrossGrid) {
   // The resilient loop must honor the same determinism contract as the
   // clean one: with a seeded noisy oracle and quarantine on, every
-  // threads x portfolio configuration reproduces the identical
+  // pool thread count reproduces the identical
   // trajectory — same status, DIPs, evictions, and recovered key. The
   // noise seed is fixed, so the oracle corrupts the same bits in every
   // run; any divergence would mean the repair loop leaked scheduling
@@ -240,12 +220,11 @@ TEST(Budget, NoisyQuarantineAttackIsDeterministicAcrossGrid) {
   const LockedCircuit lc = lock_random_xor(n, 32, 5);
 
   std::vector<SatAttackResult> results;
-  for (const GridPoint g : config_grid()) {
-    set_parallel_threads(g.threads);
+  for (const std::size_t threads : kThreadCounts) {
+    set_parallel_threads(threads);
     GoldenOracle golden(lc);
     NoisyOracle noisy(golden, 0.01, 0xbadc0ffeULL);
     SatAttackOptions opts;
-    opts.portfolio_size = g.portfolio;
     opts.resilience.quarantine = true;
     results.push_back(sat_attack(lc, noisy, opts));
   }

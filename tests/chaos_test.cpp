@@ -1,7 +1,7 @@
 // Chaos/self-healing suite: deterministic fault injection on the wire
 // (serve/chaos.h), the ReconnectingTransport redial policy, RemoteOracle
 // recovery semantics (kill the server mid-attack under a threads x
-// portfolio x dip-batch grid, restart it, and the recovered key, status,
+// dip-batch grid, restart it, and the recovered key, status,
 // and query counters are byte-identical to the uninterrupted run —
 // including across STATEFUL fault-decorator stacks via the state re-push),
 // graceful-drain stop flags (OracleServer, CheckpointedOracle, JobServer),
@@ -402,15 +402,14 @@ TEST(Reconnect, ServerKillAndRestartByteIdenticalAcrossGrid) {
   const LockedCircuit lc = chaos_lock();
 
   struct Config {
-    std::size_t threads, portfolio, dip_batch;
+    std::size_t threads, dip_batch;
   };
-  // threads x portfolio x dip-batch, the same axes the checkpoint grid
-  // regression covers: recovery must be invisible to every trajectory.
-  const Config grid[] = {{1, 1, 1}, {3, 2, 1}, {1, 1, 4}, {3, 1, 4}};
+  // threads x dip-batch, the same axes the checkpoint grid regression
+  // covers: recovery must be invisible to every trajectory.
+  const Config grid[] = {{1, 1}, {3, 1}, {1, 4}, {3, 4}};
   for (const Config& cfg : grid) {
     set_parallel_threads(cfg.threads);
     SatAttackOptions opts;
-    opts.portfolio_size = cfg.portfolio;
     opts.dip_batch = cfg.dip_batch;
 
     GoldenOracle local(lc);
@@ -423,8 +422,7 @@ TEST(Reconnect, ServerKillAndRestartByteIdenticalAcrossGrid) {
         [&] { return std::make_unique<GoldenStack>(lc); });
     expect_same_result(got, want);
     EXPECT_GT(recoveries, 0u)
-        << "threads=" << cfg.threads << " portfolio=" << cfg.portfolio
-        << " dip_batch=" << cfg.dip_batch;
+        << "threads=" << cfg.threads << " dip_batch=" << cfg.dip_batch;
   }
   set_parallel_threads(0);
 }

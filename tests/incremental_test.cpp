@@ -3,8 +3,8 @@
 // under test:
 //   (1) every recovered key is exactly equivalent to the correct one
 //       (exhaustive simulation: these circuits have <= 22 data inputs),
-//   (2) the attack result is bit-identical across the threads x
-//       portfolio grid, and
+//   (2) the attack result is bit-identical across pool thread counts,
+//       and
 //   (3) the accounting (incremental_rounds / clauses_carried /
 //       encode_reused) actually counts something.
 
@@ -65,18 +65,6 @@ bool key_exactly_equivalent(const LockedCircuit& lc, const BitVec& key) {
   return true;
 }
 
-struct GridPoint {
-  std::size_t threads, portfolio;
-};
-
-std::vector<GridPoint> config_grid() {
-  std::vector<GridPoint> grid;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}})
-    for (const std::size_t portfolio : {std::size_t{1}, std::size_t{3}})
-      grid.push_back({threads, portfolio});
-  return grid;
-}
-
 TEST(Incremental, SatAttackKeyIsExactAndCountsReuse) {
   const Netlist n = small_circuit(80);
   const LockedCircuit lc = lock_weighted(n, 14, 3, 81);
@@ -111,17 +99,14 @@ TEST(Incremental, AppSatAndDoubleDipRecoverKeysIncrementally) {
 }
 
 TEST(Incremental, SatAttackBitIdenticalAcrossGridPerSetting) {
-  // The whole trajectory must reproduce at every threads x portfolio
-  // point.
+  // The whole trajectory must reproduce at every pool thread count.
   const Netlist n = small_circuit(84);
   const LockedCircuit lc = lock_weighted(n, 14, 3, 85);
   std::vector<SatAttackResult> results;
-  for (const GridPoint g : config_grid()) {
-    set_parallel_threads(g.threads);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_parallel_threads(threads);
     GoldenOracle oracle(lc);
-    SatAttackOptions opts;
-    opts.portfolio_size = g.portfolio;
-    results.push_back(sat_attack(lc, oracle, opts));
+    results.push_back(sat_attack(lc, oracle));
   }
   set_parallel_threads(0);
   ASSERT_EQ(results[0].status, SatAttackResult::Status::kKeyFound);

@@ -18,7 +18,6 @@
 #include "chip/chip.h"
 #include "gen/circuit_gen.h"
 #include "locking/locking.h"
-#include "sat/portfolio.h"
 #include "sat/solver.h"
 #include "util/check.h"
 #include "util/parallel.h"
@@ -487,28 +486,14 @@ TEST(Resilience, ResilienceDefaultsOffChangeNothing) {
 TEST(Resilience, ExpiredSolverDeadlineReturnsUnknown) {
   const auto past =
       std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  {
-    sat::Solver s;
-    const sat::Var a = s.new_var();
-    const sat::Var b = s.new_var();
-    s.add_clause({sat::pos(a), sat::pos(b)});
-    s.set_deadline(past);
-    EXPECT_EQ(s.solve(), sat::Solver::Result::kUnknown);
-    s.clear_deadline();
-    EXPECT_EQ(s.solve(), sat::Solver::Result::kSat);
-  }
-  {
-    sat::PortfolioOptions po;
-    po.size = 3;
-    sat::PortfolioSolver s(po);
-    const sat::Var a = s.new_var();
-    const sat::Var b = s.new_var();
-    s.add_clause({sat::pos(a), sat::pos(b)});
-    s.set_deadline(past);
-    EXPECT_EQ(s.solve(), sat::Solver::Result::kUnknown);
-    s.clear_deadline();
-    EXPECT_EQ(s.solve(), sat::Solver::Result::kSat);
-  }
+  sat::Solver s;
+  const sat::Var a = s.new_var();
+  const sat::Var b = s.new_var();
+  s.add_clause({sat::pos(a), sat::pos(b)});
+  s.set_deadline(past);
+  EXPECT_EQ(s.solve(), sat::Solver::Result::kUnknown);
+  s.clear_deadline();
+  EXPECT_EQ(s.solve(), sat::Solver::Result::kSat);
 }
 
 TEST(Resilience, AttackDeadlineSurfacesAsSolverBudget) {

@@ -381,6 +381,11 @@ TEST(Solver, StatsAccumulate) {
   EXPECT_GT(s.stats().conflicts, 0u);
   EXPECT_GT(s.stats().decisions, 0u);
   EXPECT_GT(s.stats().propagations, 0u);
+  // Every solve() call adds its wall time.
+  const double first_ms = s.stats().solve_wall_ms;
+  EXPECT_GT(first_ms, 0.0);
+  EXPECT_EQ(s.solve(), Solver::Result::kUnsat);
+  EXPECT_GE(s.stats().solve_wall_ms, first_ms);
 }
 
 // reduce_db now detaches only the dropped clauses' watchers in place

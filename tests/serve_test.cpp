@@ -2,7 +2,7 @@
 // malformed-input rejection, OracleServer + RemoteOracle over a real fd
 // transport (attacks recover the identical key through the wire), and the
 // checkpoint/resume layer (attacks/checkpoint.h): interrupting an attack
-// at several DIP counts across the threads x portfolio grid and
+// at several DIP counts across pool thread counts and
 // resuming to a byte-identical final key, status, and counters, plus
 // rejection of corrupted, truncated, and foreign checkpoint files.
 // Every test is named Serve.* or Checkpoint.* so CI's sanitizer legs can
@@ -516,14 +516,9 @@ TEST(Serve, ClientSurfacesDeadTransportAsExhausted) {
 TEST(Checkpoint, ResumesByteIdenticalAcrossGridAndDipCounts) {
   const LockedCircuit lc = multi_dip_lock();
 
-  struct Config {
-    std::size_t threads, portfolio;
-  };
-  const Config grid[] = {{1, 1}, {3, 2}, {3, 1}};
-  for (const Config& cfg : grid) {
-    set_parallel_threads(cfg.threads);
-    SatAttackOptions opts;
-    opts.portfolio_size = cfg.portfolio;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    set_parallel_threads(threads);
+    const SatAttackOptions opts;
 
     GoldenOracle g_ref(lc);
     CheckpointedOracle ref(g_ref, /*config_hash=*/77);
@@ -557,8 +552,7 @@ TEST(Checkpoint, ResumesByteIdenticalAcrossGridAndDipCounts) {
       expect_same_result(got, want);
       EXPECT_FALSE(res.diverged());
       EXPECT_EQ(res.transcript_size(), total)
-          << "threads=" << cfg.threads << " portfolio=" << cfg.portfolio
-          << " kill_at=" << kill_at;
+          << "threads=" << threads << " kill_at=" << kill_at;
     }
   }
   set_parallel_threads(0);
@@ -740,11 +734,12 @@ TEST(Checkpoint, JobServerResumesFreshCheckpointByteIdentical) {
 }
 
 TEST(Checkpoint, ConfigHashKeepsFoldedNoCubeSlots) {
-  // The attacks always constant-fold and never cube-split; the config
-  // hash pins those two retired option slots at fold = 1 / cube = 0. These
-  // are the hashes of the same jobs written with folding switched on and
-  // no cube splitting, so such checkpoints still resume; every other
-  // setting of the two slots is refused as a config mismatch.
+  // The attacks run one solver, always constant-fold and never
+  // cube-split; the config hash pins those three retired option slots at
+  // solver instances = 1 / fold = 1 / cube = 0. These are the hashes of
+  // the same jobs written in that configuration, so such checkpoints
+  // still resume; every other setting of the slots is refused as a config
+  // mismatch.
   const LockedCircuit lc = multi_dip_lock();
   serve::AttackJob sat;
   sat.circuit = &lc;

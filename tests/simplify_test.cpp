@@ -1,5 +1,5 @@
 // Tests for the SatELite-style CNF simplifier (sat/simplify.h) and its
-// Solver/PortfolioSolver integration: hand-built BVE cases, subsumption
+// Solver integration: hand-built BVE cases, subsumption
 // and self-subsumption edge cases, model reconstruction, unsat cores over
 // frozen assumptions, and randomized circuit fuzzing where the simplified
 // and unsimplified solvers must agree on verdicts, reconstructed models,
@@ -15,7 +15,6 @@
 #include "locking/locking.h"
 #include "netlist/simulator.h"
 #include "sat/encode.h"
-#include "sat/portfolio.h"
 #include "sat/simplify.h"
 #include "sat/solver.h"
 #include "util/rng.h"
@@ -396,85 +395,6 @@ TEST_P(AttackPreprocessFuzz, RecoveredKeyFunctionallyIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, AttackPreprocessFuzz, ::testing::Range(0, 6));
-
-// --- portfolio integration -------------------------------------------------
-
-TEST(PortfolioSimplify, SharedSimplificationKeepsVerdictsAndModels) {
-  Rng rng(55);
-  const int nvars = 24;
-  std::vector<std::vector<Lit>> cnf;
-  for (int i = 0; i < 90; ++i) {
-    std::vector<Lit> cl;
-    for (int k = 0; k < 3; ++k)
-      cl.push_back(Lit(static_cast<Var>(rng.below(nvars)), rng.bit()));
-    cnf.push_back(cl);
-  }
-  PortfolioOptions po;
-  po.size = 3;
-  PortfolioSolver port(po);
-  Solver single;
-  for (int v = 0; v < nvars; ++v) {
-    port.new_var();
-    single.new_var();
-  }
-  bool port_ok = true, single_ok = true;
-  for (const auto& cl : cnf) {
-    port_ok &= port.add_clause(cl);
-    single_ok &= single.add_clause(cl);
-  }
-  ASSERT_EQ(port_ok, single_ok);
-  for (Var v = 0; v < 4; ++v) {
-    port.freeze(v);
-    single.freeze(v);
-  }
-  if (port_ok) port_ok = port.simplify();
-  if (single_ok) single_ok = single.simplify();
-  ASSERT_EQ(port_ok, single_ok);
-  const auto pr = port_ok ? port.solve() : Solver::Result::kUnsat;
-  const auto sr = single_ok ? single.solve() : Solver::Result::kUnsat;
-  EXPECT_EQ(pr, sr);
-  if (pr == Solver::Result::kSat) {
-    // The winner's reconstructed model must satisfy the original CNF.
-    for (const auto& cl : cnf) {
-      bool sat = false;
-      for (const Lit l : cl) sat |= port.model_value(l.var()) != l.sign();
-      EXPECT_TRUE(sat);
-    }
-  }
-}
-
-TEST(PortfolioSimplify, DeterministicAcrossRuns) {
-  auto run = [](BitVec* model_out) {
-    GenSpec spec;
-    spec.num_inputs = 8;
-    spec.num_outputs = 6;
-    spec.num_gates = 70;
-    spec.depth = 6;
-    spec.seed = 321;
-    const Netlist n = generate_circuit(spec);
-    PortfolioOptions po;
-    po.size = 3;
-    PortfolioSolver s(po);
-    Encoder e(s);
-    const auto cone = e.encode(n);
-    for (const Var v : cone.inputs) s.freeze(v);
-    for (const Var v : cone.outputs) s.freeze(v);
-    EXPECT_TRUE(s.simplify());
-    // Pin one output true; record the full frozen-interface model.
-    EXPECT_TRUE(s.add_clause({pos(cone.outputs[0])}));
-    EXPECT_EQ(s.solve(), Solver::Result::kSat);
-    BitVec bits(cone.inputs.size() + cone.outputs.size());
-    std::size_t i = 0;
-    for (const Var v : cone.inputs) bits.set(i++, s.model_value(v));
-    for (const Var v : cone.outputs) bits.set(i++, s.model_value(v));
-    *model_out = bits;
-  };
-  BitVec m1, m2;
-  run(&m1);
-  run(&m2);
-  for (std::size_t i = 0; i < m1.size(); ++i)
-    EXPECT_EQ(m1.get(i), m2.get(i)) << "bit " << i;
-}
 
 }  // namespace
 }  // namespace orap::sat

@@ -46,15 +46,22 @@ run_pass "$PREFIX" "plain"
 
 # Smoke-test the bench CLI + JSON report path: run one (cheap) bench with
 # --json and make sure the record is well-formed JSON and carries the
-# portfolio field. Also check that bad flags are rejected with exit 2.
+# threads field. Also check that bad flags, and the retired --portfolio
+# knob, are rejected with exit 2.
 echo "==== [plain] bench --json smoke ===="
 JSON_OUT="$PREFIX/bench_smoke.json"
-"$PREFIX/bench/lfsr_mixing" --scale=0.02 --portfolio=2 --json="$JSON_OUT" \
+"$PREFIX/bench/lfsr_mixing" --scale=0.02 --threads=2 --json="$JSON_OUT" \
   >/dev/null
 python3 -m json.tool "$JSON_OUT" >/dev/null
-grep -q '"portfolio": 2' "$JSON_OUT"
+grep -q '"threads": 2' "$JSON_OUT"
 if "$PREFIX/bench/lfsr_mixing" --threads=-1 >/dev/null 2>&1; then
   echo "error: bench accepted --threads=-1" >&2
+  exit 1
+fi
+rc=0
+"$PREFIX/bench/lfsr_mixing" --portfolio=2 >/dev/null 2>&1 || rc=$?
+if [[ "$rc" != "2" ]]; then
+  echo "error: bench --portfolio=2 exited $rc, want 2" >&2
   exit 1
 fi
 
@@ -376,7 +383,7 @@ echo "==== [plain] engine_micro smoke ===="
 if [[ "$RUN_TSAN" == "1" ]]; then
   CTEST_EXTRA=()
   # The budget-path and oracle-resilience regression suites always run
-  # under TSan (their grids span threads x portfolio, exactly the
+  # under TSan (their grids span pool thread counts, exactly the
   # surface where a data race would corrupt budget accounting or the
   # quarantine repair loop), even when a filter trims the rest.
   # The serve suites join too: the oracle server runs on its own thread

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -35,7 +36,6 @@
 
 #include "atpg/atpg.h"
 #include "chip/chip.h"
-#include "sat/portfolio.h"
 #include "sat/dimacs.h"
 #include "attacks/checkpoint.h"
 #include "attacks/faulty_oracle.h"
@@ -62,11 +62,31 @@ using namespace orap;
 
 namespace {
 
+[[noreturn]] void usage_error(const std::string& msg) {
+  std::fprintf(stderr, "orap: %s\n", msg.c_str());
+  std::exit(2);
+}
+
+/// Strict unsigned parse: the whole value must be decimal digits.
+std::size_t parse_num(const std::string& flag, const std::string& v) {
+  std::size_t out = 0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (v.empty() || ec != std::errc() || ptr != end)
+    usage_error("invalid value '" + v + "' for --" + flag);
+  return out;
+}
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
 
-  static Args parse(int argc, char** argv, int first) {
+  /// Parses argv[first..]. `known` lists the flags the command reads
+  /// (space-separated, without dashes); any other flag but the global
+  /// --threads exits 2 naming it, so a misspelled or retired option is
+  /// never silently ignored.
+  static Args parse(int argc, char** argv, int first, const std::string& cmd,
+                    const std::string& known) {
     Args a;
     for (int i = first; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -74,12 +94,17 @@ struct Args {
           !std::isdigit(static_cast<unsigned char>(arg[1]))) {
         const std::size_t dashes = arg.rfind("--", 0) == 0 ? 2 : 1;
         const auto eq = arg.find('=');
+        const std::string key = arg.substr(
+            dashes, eq == std::string::npos ? std::string::npos : eq - dashes);
+        if (key != "threads" &&
+            (" " + known + " ").find(" " + key + " ") == std::string::npos)
+          usage_error(cmd + ": unknown flag " + arg.substr(0, dashes) + key);
         if (eq != std::string::npos) {
-          a.options[arg.substr(dashes, eq - dashes)] = arg.substr(eq + 1);
+          a.options[key] = arg.substr(eq + 1);
         } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-          a.options[arg.substr(dashes)] = argv[++i];
+          a.options[key] = argv[++i];
         } else {
-          a.options[arg.substr(dashes)] = "1";
+          a.options[key] = "1";
         }
       } else {
         a.positional.push_back(arg);
@@ -94,11 +119,17 @@ struct Args {
   }
   std::size_t get_num(const std::string& key, std::size_t fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stoull(it->second);
+    return it == options.end() ? fallback : parse_num(key, it->second);
   }
   double get_rate(const std::string& key, double fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    const std::string& v = it->second;
+    char* end = nullptr;
+    const double d = std::strtod(v.c_str(), &end);
+    if (v.empty() || end != v.c_str() + v.size())
+      usage_error("invalid value '" + v + "' for --" + key);
+    return d;
   }
   bool has(const std::string& key) const { return options.count(key) > 0; }
 };
@@ -219,7 +250,7 @@ int cmd_gen(const Args& a) {
   Netlist n;
   if (a.has("profile")) {
     const auto& p = benchmark_profile(a.get("profile", ""));
-    const double scale = std::stod(a.get("scale", "1.0"));
+    const double scale = a.get_rate("scale", 1.0);
     n = make_benchmark(p, scale, a.get_num("seed", 0));
   } else {
     GenSpec spec;
@@ -320,7 +351,6 @@ int cmd_atpg(const Args& a) {
   opts.conflict_budget =
       static_cast<std::int64_t>(a.get_num("budget", 10000));
   opts.seed = a.get_num("seed", 1);
-  opts.portfolio_size = a.get_num("portfolio", 1);
   opts.preprocess = a.get_num("preprocess", 0) != 0;
   if (a.has("deadline-ms"))
     opts.deadline_ms = static_cast<std::int64_t>(a.get_num("deadline-ms", 0));
@@ -396,8 +426,8 @@ int cmd_attack(const Args& a) {
       const auto colon = hp.rfind(':');
       if (colon == std::string::npos) die("--connect expects host:port");
       const std::string host = hp.substr(0, colon);
-      const auto port =
-          static_cast<std::uint16_t>(std::stoul(hp.substr(colon + 1)));
+      const auto port = static_cast<std::uint16_t>(
+          parse_num("connect", hp.substr(colon + 1)));
       dial = [host, port, io_timeout, connect_timeout,
               engine =
                   chaos_engine.get()]() -> std::unique_ptr<serve::Transport> {
@@ -522,7 +552,6 @@ int cmd_attack(const Args& a) {
     opts.conflict_budget =
         a.has("budget") ? static_cast<std::int64_t>(a.get_num("budget", 0))
                         : -1;
-    opts.portfolio_size = a.get_num("portfolio", 1);
     opts.preprocess = a.get_num("preprocess", 0) != 0;
     if (a.has("deadline-ms"))
       opts.deadline_ms = static_cast<std::int64_t>(a.get_num("deadline-ms", 0));
@@ -539,7 +568,6 @@ int cmd_attack(const Args& a) {
     else {
       AppSatOptions app_opts;
       app_opts.conflict_budget = opts.conflict_budget;
-      app_opts.portfolio_size = opts.portfolio_size;
       app_opts.preprocess = opts.preprocess;
       app_opts.deadline_ms = opts.deadline_ms;
       app_opts.oracle_batch = opts.oracle_batch;
@@ -985,13 +1013,12 @@ int cmd_protect(const Args& a) {
 
 int cmd_solve(const Args& a) {
   if (a.positional.empty())
-    die("usage: orap solve <file.cnf> [--budget N] [--portfolio N] "
-        "[--preprocess]");
+    die("usage: orap solve <file.cnf> [--budget N] [--preprocess] "
+        "[--deadline-ms T]");
   std::ifstream is(a.positional[0]);
   if (!is.good()) die("cannot read " + a.positional[0]);
   const sat::Cnf cnf = sat::read_dimacs(is);
-  sat::PortfolioSolver s(
-      sat::PortfolioOptions{.size = a.get_num("portfolio", 1)});
+  sat::Solver s;
   if (!cnf.load_into(s)) {
     std::puts("s UNSATISFIABLE");
     return 20;
@@ -1049,11 +1076,10 @@ void usage() {
       "  orap resynth <in.bench> [-o out.bench]\n"
       "  orap hd      <locked.bench> --key key.txt [--words N] [--keys N]\n"
       "  orap atpg    <in.bench> [--random-words N] [--budget B] "
-      "[--portfolio N] [--preprocess] "
-      "[--deadline-ms T]\n"
+      "[--preprocess] [--deadline-ms T]\n"
       "  orap attack  <locked.bench> --key key.txt [--kind "
       "sat|appsat|doubledip|hillclimb] [--oracle golden|orap] "
-      "[--budget B] [--portfolio N] [--preprocess] [--deadline-ms T]\n"
+      "[--budget B] [--preprocess] [--deadline-ms T]\n"
       "               [--oracle-noise P] [--oracle-fail-rate P] "
       "[--oracle-retries N] [--oracle-votes N] [--quarantine] "
       "[--oracle-batch] [--dip-batch K]\n"
@@ -1075,14 +1101,13 @@ void usage() {
       "[--json out.json] [--job-retries N] [--job-retry-backoff-ms B]\n"
       "  orap protect <locked.bench> --key key.txt [--variant "
       "basic|modified] — build the OraP chip, report costs\n"
-      "  orap solve   <file.cnf> [--budget N] [--portfolio N] "
-      "[--preprocess] [--deadline-ms T] — standalone DIMACS SAT solver\n"
+      "  orap solve   <file.cnf> [--budget N] [--preprocess] "
+      "[--deadline-ms T] — standalone DIMACS SAT solver\n"
       "  orap export  <in.bench> [-o out.v]\n"
       "\n"
       "Global: --threads N sets the parallel pool size (0 = auto; also "
-      "settable via ORAP_THREADS).\n--portfolio N races N diversified CDCL "
-      "instances per SAT query in deterministic\nlockstep epochs. "
-      "--preprocess 0|1 runs SatELite-style CNF simplification (variable\n"
+      "settable via ORAP_THREADS). Every subcommand rejects flags it does "
+      "not read\n(exit 2). --preprocess 0|1 runs SatELite-style CNF simplification (variable\n"
       "elimination + subsumption) before solving. The oracle-guided attacks "
       "keep one\npersistent miter solver and constant-fold every oracle "
       "constraint.\nResults are deterministic for a given seed at any thread "
@@ -1134,37 +1159,65 @@ void usage() {
       "result.");
 }
 
+/// One subcommand and the flags it reads (space-separated, no dashes).
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  const char* flags;
+};
+
+constexpr Command kCommands[] = {
+    {"gen", cmd_gen, "profile scale seed inputs outputs gates depth name o"},
+    {"stats", cmd_stats, ""},
+    {"lock", cmd_lock,
+     "scheme key-bits seed ctrl hd-h keys-per-gate o key-out verilog"},
+    {"resynth", cmd_resynth, "o"},
+    {"hd", cmd_hd, "key words keys seed"},
+    {"atpg", cmd_atpg, "random-words budget seed preprocess deadline-ms"},
+    {"attack", cmd_attack,
+     "key kind oracle pis seed max-iter budget preprocess deadline-ms "
+     "oracle-noise oracle-fail-rate fault-seed oracle-retries oracle-votes "
+     "quarantine oracle-batch dip-batch connect oracle-cmd io-timeout-ms "
+     "connect-timeout-ms checkpoint checkpoint-every reconnect "
+     "reconnect-attempts reconnect-backoff-ms reconnect-backoff-max-ms "
+     "reconnect-state-every chaos-disconnect-rate chaos-corrupt-rate "
+     "chaos-truncate-rate chaos-delay-rate chaos-delay-us chaos-seed"},
+    {"oracle-serve", cmd_oracle_serve,
+     "key oracle pis seed port stdio once io-timeout-ms latency-us jitter-us "
+     "fault-seed oracle-noise oracle-fail-rate oracle-stick-rate "
+     "oracle-max-queries"},
+    {"attack-serve", cmd_attack_serve,
+     "jobs kind scheme key-bits seed inputs outputs gates depth max-iter "
+     "shared-circuit oracle-retries oracle-votes quarantine oracle-batch "
+     "dip-batch oracle-noise oracle-fail-rate fault-seed latency-us "
+     "checkpoint-dir checkpoint-every result-cache job-retries "
+     "job-retry-backoff-ms json"},
+    {"protect", cmd_protect, "key pis variant response-cycles seed"},
+    {"solve", cmd_solve, "budget preprocess deadline-ms"},
+    {"export", cmd_export, "o"},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const std::string cmd = argc < 2 ? "" : argv[1];
+  const Command* command = nullptr;
+  for (const Command& c : kCommands)
+    if (cmd == c.name) command = &c;
+  if (command == nullptr) {
     usage();
     return 1;
   }
-  const std::string cmd = argv[1];
-  const Args args = Args::parse(argc, argv, 2);
+  const Args args = Args::parse(argc, argv, 2, cmd, command->flags);
   try {
     // Global: --threads=N caps the work-stealing pool (0 = auto, which is
     // also the ORAP_THREADS env var's job); results are thread-count
     // independent by construction.
     if (args.has("threads")) set_parallel_threads(args.get_num("threads", 0));
-    if (cmd == "gen") return cmd_gen(args);
-    if (cmd == "stats") return cmd_stats(args);
-    if (cmd == "lock") return cmd_lock(args);
-    if (cmd == "resynth") return cmd_resynth(args);
-    if (cmd == "hd") return cmd_hd(args);
-    if (cmd == "atpg") return cmd_atpg(args);
-    if (cmd == "attack") return cmd_attack(args);
-    if (cmd == "oracle-serve") return cmd_oracle_serve(args);
-    if (cmd == "attack-serve") return cmd_attack_serve(args);
-    if (cmd == "protect") return cmd_protect(args);
-    if (cmd == "solve") return cmd_solve(args);
-    if (cmd == "export") return cmd_export(args);
+    return command->run(args);
   } catch (const CheckError& e) {
     die(e.what());
   } catch (const std::exception& e) {
     die(e.what());
   }
-  usage();
-  return 1;
 }
