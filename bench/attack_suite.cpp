@@ -120,21 +120,19 @@ int main(int argc, char** argv) {
       OracleUnderTest oracle(base, args, 101 + i);
       SatAttackOptions opts;
       opts.max_iterations = 4096;
-      opts.preprocess = args.preprocess;
       apply_resilience(args, &opts.resilience, &opts.deadline_ms);
       c.r = sat_attack(c.lc, oracle.get(), opts);
     });
     std::uint64_t part1_rounds = 0, part1_carried = 0, part1_reused = 0;
     for (const auto& c : cases) {
-      part1_rounds += c.r.incremental_rounds;
+      part1_rounds += c.r.solve_calls;
       part1_carried += c.r.clauses_carried;
       part1_reused += c.r.encode_reused;
     }
     // Deterministic counters only: the results object must stay
-    // byte-identical across thread counts. The incremental counters
-    // qualify (one solver per attack, fixed solve sequence); wall times
-    // never do.
-    report.add("golden_incremental_rounds",
+    // byte-identical across thread counts. The solver counters qualify
+    // (one solver per attack, fixed solve sequence); wall times never do.
+    report.add("golden_solve_calls",
                static_cast<std::size_t>(part1_rounds));
     report.add("golden_clauses_carried",
                static_cast<std::size_t>(part1_carried));
@@ -254,21 +252,19 @@ int main(int argc, char** argv) {
                            const BitVec& correct) {
       auto& rows = group_rows[group];
       SatAttackOptions sat_opts;
-      sat_opts.preprocess = args.preprocess;
       apply_resilience(args, &sat_opts.resilience, &sat_opts.deadline_ms);
       AppSatOptions app_opts;
-      app_opts.preprocess = args.preprocess;
       apply_resilience(args, &app_opts.resilience, &app_opts.deadline_ms);
       {
         const SatAttackResult r = sat_attack(view, oracle, sat_opts);
-        group_rounds[group] += r.incremental_rounds;
+        group_rounds[group] += r.solve_calls;
         group_carried[group] += r.clauses_carried;
         rows.push_back({"SAT", oracle_name, std::to_string(r.oracle_queries),
                         status_str(r, correct, view)});
       }
       {
         const SatAttackResult r = appsat_attack(view, oracle, app_opts);
-        group_rounds[group] += r.incremental_rounds;
+        group_rounds[group] += r.solve_calls;
         group_carried[group] += r.clauses_carried;
         rows.push_back({"AppSAT", oracle_name,
                         std::to_string(r.oracle_queries),
@@ -276,7 +272,7 @@ int main(int argc, char** argv) {
       }
       {
         const SatAttackResult r = double_dip_attack(view, oracle, sat_opts);
-        group_rounds[group] += r.incremental_rounds;
+        group_rounds[group] += r.solve_calls;
         group_carried[group] += r.clauses_carried;
         rows.push_back({"Double-DIP", oracle_name,
                         std::to_string(r.oracle_queries),
@@ -293,7 +289,7 @@ int main(int argc, char** argv) {
       }
       {
         const SensitizationResult r =
-            sensitization_attack(view, oracle, 1, 20000, args.incremental);
+            sensitization_attack(view, oracle, 1, 20000);
         std::size_t right = 0;
         for (std::size_t i = 0; i < correct.size(); ++i)
           if (r.key_bits[i] >= 0 && r.key_bits[i] == (correct.get(i) ? 1 : 0))

@@ -4,23 +4,22 @@
 // timing, and a machine-readable JSON record per run so BENCH_*.json perf
 // trajectories can be tracked across commits.
 //
-// Parsing is strict: every numeric value must consume its whole token
-// (no atoll/atof silent garbage), negative or absurd sizes are rejected,
-// and unknown flags are an error — parse() exits(2) with a usage message
-// instead of silently ignoring a typo like --thread=4.
+// Parsing is strict (util/flags.h): every numeric value must consume its
+// whole token, negative or absurd sizes are rejected, and unknown flags
+// are an error — parse() exits(2) with a usage message instead of
+// silently ignoring a typo like --thread=4.
 
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "util/flags.h"
 #include "util/parallel.h"
 
 namespace orap::bench {
@@ -29,8 +28,6 @@ struct BenchArgs {
   double scale = 0.15;  // default: reduced-cost mode
   bool full = false;
   std::size_t threads = 0;   // 0 = auto (ORAP_THREADS / hardware)
-  bool preprocess = false;   // SatELite-style CNF simplification
-  bool incremental = false;  // single-solver sensitization attack core
   // Oracle-resilience knobs (attack benches; attacks/faulty_oracle.h).
   double oracle_noise = 0.0;      // seeded response bit-flip rate
   double oracle_fail_rate = 0.0;  // seeded transient-failure rate
@@ -44,136 +41,45 @@ struct BenchArgs {
   static constexpr std::size_t kMaxThreads = 1024;
   static constexpr std::size_t kMaxVotes = 63;  // odd cap keeps ties rare
 
-  /// Strict unsigned parse: whole token, base 10, no sign characters.
-  static bool parse_size(const char* s, std::size_t* out) {
-    if (s == nullptr || *s == '\0' || *s == '-' || *s == '+') return false;
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (errno != 0 || end == s || *end != '\0') return false;
-    *out = static_cast<std::size_t>(v);
-    return true;
-  }
-
-  /// Strict double parse: whole token, finite value.
-  static bool parse_double(const char* s, double* out) {
-    if (s == nullptr || *s == '\0') return false;
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (errno != 0 || end == s || *end != '\0' || !std::isfinite(v))
-      return false;
-    *out = v;
-    return true;
-  }
+  static constexpr flags::Flag kFlags[] = {
+      flags::on_off("help"),
+      flags::on_off("h"),
+      flags::on_off("full"),
+      flags::rate("scale", 0.0, 16.0, /*lo_open=*/true),
+      flags::count("threads", 0, kMaxThreads),
+      flags::rate("oracle-noise"),
+      flags::rate("oracle-fail-rate"),
+      flags::count("oracle-votes", 1, kMaxVotes),
+      flags::count("oracle-retries", 0, 1024),
+      flags::on_off("quarantine"),
+      flags::count("deadline-ms", 0, 1099511627776.0),  // 2^40 ms
+      flags::text("json"),
+  };
 
   /// Parses argv into *out. Returns false with a diagnostic in *error on
   /// any unknown flag or malformed/out-of-range value. Does not touch the
-  /// process (no exit, no pool resize) — parse() adds those.
+  /// process (no exit, no pool resize) — parse() adds those. --scale wins
+  /// over --full; --full alone means scale 1.
   static bool try_parse(int argc, char** argv, BenchArgs* out,
                         std::string* error) {
+    flags::Args f;
+    if (!flags::parse(kFlags, argc, argv, 1, /*allow_positional=*/false, &f,
+                      error))
+      return false;
     BenchArgs a;
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-        a.help = true;
-      } else if (std::strcmp(arg, "--full") == 0) {
-        a.full = true;
-        a.scale = 1.0;
-      } else if (std::strncmp(arg, "--scale=", 8) == 0) {
-        if (!parse_double(arg + 8, &a.scale) || a.scale <= 0.0 ||
-            a.scale > 16.0) {
-          *error = std::string("invalid --scale value '") + (arg + 8) +
-                   "' (want a number in (0, 16])";
-          return false;
-        }
-        a.full = a.scale >= 1.0;
-      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-        if (!parse_size(arg + 10, &a.threads) || a.threads > kMaxThreads) {
-          *error = std::string("invalid --threads value '") + (arg + 10) +
-                   "' (want an integer in [0, " +
-                   std::to_string(kMaxThreads) + "])";
-          return false;
-        }
-      } else if (std::strcmp(arg, "--preprocess") == 0) {
-        a.preprocess = true;
-      } else if (std::strncmp(arg, "--preprocess=", 13) == 0) {
-        std::size_t v = 0;
-        if (!parse_size(arg + 13, &v) || v > 1) {
-          *error = std::string("invalid --preprocess value '") + (arg + 13) +
-                   "' (want 0 or 1)";
-          return false;
-        }
-        a.preprocess = v == 1;
-      } else if (std::strcmp(arg, "--incremental") == 0) {
-        a.incremental = true;
-      } else if (std::strncmp(arg, "--incremental=", 14) == 0) {
-        std::size_t v = 0;
-        if (!parse_size(arg + 14, &v) || v > 1) {
-          *error = std::string("invalid --incremental value '") + (arg + 14) +
-                   "' (want 0 or 1)";
-          return false;
-        }
-        a.incremental = v == 1;
-      } else if (std::strncmp(arg, "--oracle-noise=", 15) == 0) {
-        if (!parse_double(arg + 15, &a.oracle_noise) || a.oracle_noise < 0.0 ||
-            a.oracle_noise > 1.0) {
-          *error = std::string("invalid --oracle-noise value '") + (arg + 15) +
-                   "' (want a rate in [0, 1])";
-          return false;
-        }
-      } else if (std::strncmp(arg, "--oracle-fail-rate=", 19) == 0) {
-        if (!parse_double(arg + 19, &a.oracle_fail_rate) ||
-            a.oracle_fail_rate < 0.0 || a.oracle_fail_rate > 1.0) {
-          *error = std::string("invalid --oracle-fail-rate value '") +
-                   (arg + 19) + "' (want a rate in [0, 1])";
-          return false;
-        }
-      } else if (std::strncmp(arg, "--oracle-votes=", 15) == 0) {
-        if (!parse_size(arg + 15, &a.oracle_votes) || a.oracle_votes == 0 ||
-            a.oracle_votes > kMaxVotes) {
-          *error = std::string("invalid --oracle-votes value '") + (arg + 15) +
-                   "' (want an integer in [1, " + std::to_string(kMaxVotes) +
-                   "])";
-          return false;
-        }
-      } else if (std::strncmp(arg, "--oracle-retries=", 17) == 0) {
-        if (!parse_size(arg + 17, &a.oracle_retries) ||
-            a.oracle_retries > 1024) {
-          *error = std::string("invalid --oracle-retries value '") +
-                   (arg + 17) + "' (want an integer in [0, 1024])";
-          return false;
-        }
-      } else if (std::strcmp(arg, "--quarantine") == 0) {
-        a.quarantine = true;
-      } else if (std::strncmp(arg, "--quarantine=", 13) == 0) {
-        std::size_t v = 0;
-        if (!parse_size(arg + 13, &v) || v > 1) {
-          *error = std::string("invalid --quarantine value '") + (arg + 13) +
-                   "' (want 0 or 1)";
-          return false;
-        }
-        a.quarantine = v == 1;
-      } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {
-        std::size_t v = 0;
-        if (!parse_size(arg + 14, &v) ||
-            v > static_cast<std::size_t>(1) << 40) {
-          *error = std::string("invalid --deadline-ms value '") + (arg + 14) +
-                   "' (want a non-negative millisecond count)";
-          return false;
-        }
-        a.deadline_ms = static_cast<std::int64_t>(v);
-      } else if (std::strncmp(arg, "--json=", 7) == 0) {
-        a.json_path = arg + 7;
-        if (a.json_path.empty()) {
-          *error = "empty --json path";
-          return false;
-        }
-      } else {
-        *error = std::string("unknown argument '") + arg + "'";
-        return false;
-      }
-    }
+    a.help = f.on("help") || f.on("h");
+    a.full = f.on("full");
+    a.scale = f.rate("scale", a.full ? 1.0 : a.scale);
+    if (f.has("scale")) a.full = a.scale >= 1.0;
+    a.threads = f.count("threads", a.threads);
+    a.oracle_noise = f.rate("oracle-noise", a.oracle_noise);
+    a.oracle_fail_rate = f.rate("oracle-fail-rate", a.oracle_fail_rate);
+    a.oracle_votes = f.count("oracle-votes", a.oracle_votes);
+    a.oracle_retries = f.count("oracle-retries", a.oracle_retries);
+    a.quarantine = f.on("quarantine");
+    if (f.has("deadline-ms"))
+      a.deadline_ms = static_cast<std::int64_t>(f.count("deadline-ms", 0));
+    a.json_path = f.text("json", "");
     *out = a;
     return true;
   }
@@ -186,10 +92,6 @@ struct BenchArgs {
         "  --scale=S       shrink benchmark circuits to S of paper size\n"
         "  --threads=N     thread-pool size (0 = auto: ORAP_THREADS or "
         "hardware concurrency)\n"
-        "  --preprocess[=0|1]  SatELite-style CNF simplification before "
-        "solving (default 0)\n"
-        "  --incremental[=0|1] one persistent solver for the "
-        "sensitization attack (default 0)\n"
         "  --oracle-noise=P      seeded oracle response bit-flip rate "
         "(default 0)\n"
         "  --oracle-fail-rate=P  seeded oracle transient-failure rate "
@@ -202,7 +104,8 @@ struct BenchArgs {
         "(default 0)\n"
         "  --deadline-ms=T       wall-clock deadline per attack "
         "(default: none)\n"
-        "  --json=PATH     write a machine-readable result record\n",
+        "  --json=PATH     write a machine-readable result record\n"
+        "Valued flags take --x=v or --x v; a switch is --x or --x=0|1.\n",
         prog);
   }
 
@@ -227,10 +130,6 @@ struct BenchArgs {
   void banner(const char* what) const {
     std::printf("== %s ==\n", what);
     std::printf("threads: %zu\n", parallel_threads());
-    if (preprocess) std::printf("preprocess: CNF simplification on\n");
-    if (incremental)
-      std::printf("incremental: persistent single-solver sensitization "
-                  "core on\n");
     if (oracle_noise > 0.0 || oracle_fail_rate > 0.0)
       std::printf("oracle faults: noise=%.4f fail-rate=%.4f\n", oracle_noise,
                   oracle_fail_rate);
@@ -311,9 +210,7 @@ class JsonReport {
     char scale_buf[32];
     std::snprintf(scale_buf, sizeof scale_buf, "%.4f", args_.scale);
     os << "{\"bench\": \"" << escaped(bench_) << "\", \"scale\": " << scale_buf
-       << ", \"threads\": " << parallel_threads()
-       << ", \"preprocess\": " << (args_.preprocess ? 1 : 0)
-       << ", \"incremental\": " << (args_.incremental ? 1 : 0);
+       << ", \"threads\": " << parallel_threads();
     char rate_buf[32];
     std::snprintf(rate_buf, sizeof rate_buf, "%.6f", args_.oracle_noise);
     os << ", \"oracle_noise\": " << rate_buf;

@@ -4,10 +4,8 @@
 // schemes collapse in a handful — which is why the paper pairs OraP (kills
 // the oracle) with weighted locking (keeps the corruption).
 //
-// With --preprocess=1 each miter is simplified before its DIP loop; the
-// JSON record carries per-case formula sizes (vars / active_vars) plus the
-// recovered key and status, so an off-vs-on A/B can assert "same attack
-// outcome, ~N% smaller formula" (see BENCH_dip_scaling.json).
+// The JSON record carries per-case DIP counts, formula sizes, recovered
+// keys and statuses, plus the summed solver counters.
 
 #include <cstdio>
 #include <iostream>
@@ -72,7 +70,6 @@ int main(int argc, char** argv) {
     const std::size_t k = key_sizes[idx / 3];
     SatAttackOptions opts;
     opts.max_iterations = (std::int64_t{1} << (max_sar + 1));
-    opts.preprocess = args.preprocess;
     opts.deadline_ms = args.deadline_ms;
     switch (idx % 3) {
       case 0: {
@@ -96,28 +93,18 @@ int main(int argc, char** argv) {
     }
   });
   double total_solver_ms = 0.0;
-  double total_simplify_ms = 0.0;
-  std::size_t total_vars = 0, total_active = 0;
-  std::uint64_t total_eliminated = 0, total_removed = 0;
-  std::uint64_t total_inc_rounds = 0, total_carried = 0, total_reused = 0;
+  std::size_t total_vars = 0;
+  std::uint64_t total_solve_calls = 0, total_carried = 0, total_reused = 0;
   for (const auto& r : results) {
     total_solver_ms += r.solver_wall_ms;
-    total_simplify_ms += r.simplify_ms;
     total_vars += r.solver_vars;
-    total_active += r.solver_active_vars;
-    total_eliminated += r.eliminated_vars;
-    total_removed += r.removed_clauses;
-    total_inc_rounds += r.incremental_rounds;
+    total_solve_calls += r.solve_calls;
     total_carried += r.clauses_carried;
     total_reused += r.encode_reused;
   }
   report.add("solver_wall_ms", total_solver_ms, 1);
-  report.add("simplify_ms", total_simplify_ms, 1);
   report.add("solver_vars", total_vars);
-  report.add("solver_active_vars", total_active);
-  report.add("eliminated_vars", static_cast<std::size_t>(total_eliminated));
-  report.add("removed_clauses", static_cast<std::size_t>(total_removed));
-  report.add("incremental_rounds", static_cast<std::size_t>(total_inc_rounds));
+  report.add("solve_calls", static_cast<std::size_t>(total_solve_calls));
   report.add("clauses_carried", static_cast<std::size_t>(total_carried));
   report.add("encode_reused", static_cast<std::size_t>(total_reused));
 
@@ -135,7 +122,6 @@ int main(int argc, char** argv) {
       report.add_string(tag + "status", status_str(r.status));
       report.add_string(tag + "key", key_str(r.key));
       report.add(tag + "vars", r.solver_vars);
-      report.add(tag + "active_vars", r.solver_active_vars);
     }
   }
   t.print(std::cout);

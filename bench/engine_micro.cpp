@@ -161,24 +161,6 @@ void BM_CnfEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_CnfEncode)->Arg(1000)->Arg(10000);
 
-void BM_CnfSimplify(benchmark::State& state) {
-  // SatELite-style preprocessing (BVE + subsumption) of a freshly encoded
-  // circuit with its PI/PO interface frozen — the cost the attacks pay
-  // once per miter before the DIP loop.
-  const Netlist n = bench_circuit(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    state.PauseTiming();
-    sat::Solver s;
-    sat::Encoder e(s);
-    const auto cone = e.encode(n);
-    for (const sat::Var v : cone.inputs) s.freeze(v);
-    for (const sat::Var v : cone.outputs) s.freeze(v);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(s.simplify());
-  }
-}
-BENCHMARK(BM_CnfSimplify)->Arg(1000)->Arg(10000);
-
 void BM_SatMiterFindsInjectedBug(benchmark::State& state) {
   // Miter with one corrupted output: the solver must find a witness.
   // (A *clean* identical miter is deliberately not benchmarked raw: that

@@ -79,7 +79,6 @@ int main(int argc, char** argv) {
   const auto sat_options = [&args] {
     SatAttackOptions opts;
     opts.max_iterations = 4096;
-    opts.preprocess = args.preprocess;
     return opts;
   };
 

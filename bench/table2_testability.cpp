@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
   // D-chain miter (atpg/atpg.h) redundancy proofs are mostly settled by
   // propagation, and fault simulation is the larger share of the runtime.
   opts.conflict_budget = args.full ? 10000 : 2000;
-  opts.preprocess = args.preprocess;
 
   const auto& profiles = paper_benchmarks();
 

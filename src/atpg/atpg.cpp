@@ -27,7 +27,7 @@ std::vector<bool> fanout_cone(const Netlist& n, GateId site) {
 
 std::optional<BitVec> generate_test(
     const Netlist& n, const Fault& f, std::int64_t conflict_budget,
-    bool* aborted_out, bool preprocess, sat::SolverStats* stats_out,
+    bool* aborted_out, sat::SolverStats* stats_out,
     const std::chrono::steady_clock::time_point* deadline) {
   if (aborted_out != nullptr) *aborted_out = false;
   if (stats_out != nullptr) *stats_out = sat::SolverStats{};
@@ -149,16 +149,6 @@ std::optional<BitVec> generate_test(
     s.add_clause({sat::Lit(gvar[driver], f.stuck_value)});
   }
 
-  if (preprocess) {
-    // The pattern is read back from the PI variables: keep them out of
-    // elimination. Every other clause is already in the formula.
-    for (std::size_t i = 0; i < n.num_inputs(); ++i) {
-      const GateId in = n.inputs()[i];
-      if (gvar[in] != sat::Encoder::kNoVar) s.freeze(gvar[in]);
-    }
-    s.simplify();
-  }
-
   const auto res = s.solve({}, conflict_budget);
   if (stats_out != nullptr) *stats_out = s.stats();
   if (res == sat::Solver::Result::kUnknown) {
@@ -215,9 +205,9 @@ AtpgResult run_atpg(const Netlist& n, const AtpgOptions& opts) {
     bool aborted = false;
     sat::SolverStats qstats;
     const std::optional<BitVec> pattern = generate_test(
-        n, f, opts.conflict_budget, &aborted, opts.preprocess, &qstats,
+        n, f, opts.conflict_budget, &aborted, &qstats,
         has_deadline ? &deadline : nullptr);
-    result.solver_rounds += qstats.incremental_rounds;
+    result.solver_rounds += qstats.solve_calls;
     if (!pattern.has_value()) {
       if (aborted)
         ++result.aborted;

@@ -41,10 +41,6 @@ struct AtpgOptions {
                                         // proofs abort, as in Atalanta)
   std::uint64_t seed = 1;
   bool resimulate_new_patterns = true;  // drop more faults per ATPG pattern
-  /// Runs SatELite-style CNF simplification (sat/simplify.h) on each
-  /// good/faulty miter before solving. Fault-site and PI/PO variables are
-  /// frozen so the test pattern stays readable from the model.
-  bool preprocess = false;
   /// Wall-clock deadline for the whole ATPG phase; < 0 = none. Once it
   /// expires, the in-flight fault query aborts (solver-internal check) and
   /// every not-yet-attempted fault is counted as aborted. Timing-dependent,
@@ -84,29 +80,28 @@ struct AtpgResult {
 };
 
 /// Generates a test pattern for one fault (nullopt = redundant or
-/// aborted; `aborted_out` distinguishes the two). `preprocess`
-/// simplifies the miter CNF before the solve. `stats_out` (optional)
+/// aborted; `aborted_out` distinguishes the two). `stats_out` (optional)
 /// receives the query's solver stats. `deadline` (optional) bounds the
 /// query by wall clock: expiry aborts it.
 std::optional<BitVec> generate_test(
     const Netlist& n, const Fault& f, std::int64_t conflict_budget,
-    bool* aborted_out, bool preprocess = false,
-    sat::SolverStats* stats_out = nullptr,
+    bool* aborted_out, sat::SolverStats* stats_out = nullptr,
     const std::chrono::steady_clock::time_point* deadline = nullptr);
 
 /// Positional form that still passes the retired portfolio size (solver
-/// instances per query) and cube-split depth, kept so existing callers
-/// compile. Neither the portfolio nor cube splitting exists any more:
-/// `instances` must be 1 and `split_depth` 0.
+/// instances per query), preprocessing switch and cube-split depth, kept
+/// so existing callers compile. None of the three exists any more:
+/// `instances` must be 1, `preprocess` false and `split_depth` 0.
 inline std::optional<BitVec> generate_test(
     const Netlist& n, const Fault& f, std::int64_t conflict_budget,
     bool* aborted_out, std::size_t instances, bool preprocess,
     int split_depth, sat::SolverStats* stats_out,
     const std::chrono::steady_clock::time_point* deadline = nullptr) {
   ORAP_CHECK_MSG(instances == 1, "one solver instance per query");
+  ORAP_CHECK_MSG(!preprocess, "CNF preprocessing was removed");
   ORAP_CHECK_MSG(split_depth == 0, "cube splitting was removed");
-  return generate_test(n, f, conflict_budget, aborted_out, preprocess,
-                       stats_out, deadline);
+  return generate_test(n, f, conflict_budget, aborted_out, stats_out,
+                       deadline);
 }
 
 /// The full Table II flow: collapse faults, pseudorandom phase with

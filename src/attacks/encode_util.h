@@ -46,15 +46,6 @@ class LockedEncoder {
   /// literal).
   std::uint64_t encode_reused() const { return encode_reused_; }
 
-  /// Freezes the encoder-owned interface vars (the constants) against
-  /// preprocessing. Attacks call this — together with freezing their data
-  /// inputs, key vectors, activation literal and miter outputs — before
-  /// Solver::simplify(), because every later
-  /// add_io_constraint() references the key vars and the constants.
-  void freeze_interface() {
-    s_.freeze(const_true_);
-    if (const_false_ >= 0) s_.freeze(const_false_);
-  }
   sat::Lit constant(bool v) const {
     return v ? sat::pos(const_true_) : sat::neg(const_true_);
   }

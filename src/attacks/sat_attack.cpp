@@ -9,7 +9,6 @@
 #include "attacks/encode_util.h"
 #include "netlist/simulator.h"
 #include "sat/encode.h"
-#include "sat/simplify.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -431,60 +430,24 @@ struct AttackContext {
   }
 
   std::size_t miter_vars_ = 0;
-  std::size_t miter_active_vars_ = 0;
   std::vector<Lit> assumps_buf_;  // assumps()/solve_subset() scratch
 
-  /// Freezes the miter interface variables and runs SatELite-style
-  /// preprocessing. Must run after the miter is fully built and before
-  /// the first solve: everything the DIP loop later constrains (data
-  /// inputs, key vectors, activation literal, miter outputs, encoder
-  /// constants) must survive elimination. Pair selectors are created
-  /// after this point, so they are never elimination candidates.
-  void preprocess_miter(
-      std::initializer_list<const std::vector<Var>*> interface_vars) {
-    for (const auto* vs : interface_vars)
-      for (const Var v : *vs) solver.freeze(v);
-    solver.freeze(act);
-    lenc.freeze_interface();
-    // The miter is solved hundreds of times (once per DIP), so trading a
-    // few extra clauses per eliminated variable for a smaller variable
-    // count pays off — unlike the one-shot default of grow = 0.
-    sat::SimplifyOptions sopts;
-    sopts.grow = 8;
-    solver.simplify(sopts);
-  }
+  /// Records the miter's formula size at DIP-loop start, before hundreds
+  /// of iterations have appended fresh I/O-constraint cones.
+  void snapshot_miter_size() { miter_vars_ = solver.num_vars(); }
 
-  /// Records the miter's formula size at DIP-loop start. Called after the
-  /// miter is built (and optionally simplified) so the A/B comparison in
-  /// the benches measures the preprocessed formula, not the formula after
-  /// hundreds of iterations have appended fresh I/O-constraint cones.
-  void snapshot_miter_size() {
-    miter_vars_ = solver.num_vars();
-    miter_active_vars_ =
-        miter_vars_ -
-        static_cast<std::size_t>(solver.stats().eliminated_vars);
-  }
-
-  /// Copies formula-size / preprocessing / resilience counters into
-  /// the result.
+  /// Copies formula-size / solver / resilience counters into the result.
   void fill_solver_stats(SatAttackResult* result) const {
     const sat::SolverStats st = solver.stats();
     result->solver_vars =
         miter_vars_ != 0 ? miter_vars_ : solver.num_vars();
-    result->solver_active_vars =
-        miter_vars_ != 0
-            ? miter_active_vars_
-            : solver.num_vars() - static_cast<std::size_t>(st.eliminated_vars);
-    result->eliminated_vars = st.eliminated_vars;
-    result->removed_clauses = st.simplify_removed_clauses;
-    result->simplify_ms = st.simplify_ms;
     result->solver_wall_ms = st.solve_wall_ms;
     result->oracle_retries = oracle_retries;
     result->vote_queries = vote_queries;
     result->evicted_pairs = evicted_pairs;
     result->requeried_pairs = requeried_pairs;
     result->oracle_error_rate = oracle_error_rate;
-    result->incremental_rounds = st.incremental_rounds;
+    result->solve_calls = st.solve_calls;
     result->clauses_carried = st.clauses_carried;
     result->encode_reused = lenc.encode_reused();
     result->oracle_batches = oracle->batch_count();
@@ -816,8 +779,6 @@ SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
           sat::pos(ctx.enc().encode_xor2(a.outputs[o], b.outputs[o])));
     ctx.solver.add_clause(any);
   }
-  if (opts.preprocess)
-    ctx.preprocess_miter({&ctx.x, &ctx.k1, &ctx.k2, &a.outputs, &b.outputs});
   ctx.snapshot_miter_size();
 
   SatAttackResult result;
@@ -912,8 +873,6 @@ SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
           sat::pos(ctx.enc().encode_xor2(a.outputs[o], b.outputs[o])));
     ctx.solver.add_clause(any);
   }
-  if (opts.preprocess)
-    ctx.preprocess_miter({&ctx.x, &ctx.k1, &ctx.k2, &a.outputs, &b.outputs});
   ctx.snapshot_miter_size();
 
   Rng rng(opts.seed);
@@ -1105,9 +1064,6 @@ SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
   }
   add_neq(ctx.k1, ctx.k2);
   add_neq(k3, k4);
-  if (opts.preprocess)
-    ctx.preprocess_miter({&ctx.x, &ctx.k1, &ctx.k2, &k3, &k4, &a.outputs,
-                          &b.outputs, &c.outputs, &d.outputs});
   ctx.snapshot_miter_size();
 
   SatAttackResult result;

@@ -64,11 +64,6 @@ struct SatAttackOptions {
   /// bit-identity contract only when it actually fires.
   std::int64_t deadline_ms = -1;
   OracleResilienceOptions resilience;
-  /// Runs SatELite-style CNF simplification (sat/simplify.h) on the miter
-  /// once before the DIP loop. The attack freezes its interface variables
-  /// (data inputs, key vectors, activation literal, miter outputs, encoder
-  /// constants) so every later add_io_constraint stays expressible.
-  bool preprocess = false;
   /// Attack-side oracle batching: ship all majority-vote replicas of a
   /// logical query, the quarantine re-query set, and the degraded
   /// measurement samples as Oracle::query_batch flushes (one round trip
@@ -118,22 +113,17 @@ struct SatAttackResult {
   std::size_t requeried_pairs = 0;  // evicted pairs asked again
   double oracle_error_rate = -1.0;  // measured bit error rate (kDegraded)
 
-  // Formula-size accounting, sampled at DIP-loop start so preprocess
-  // on/off runs compare the same formula (preprocess off: active == total,
-  // the remaining counters stay 0).
-  std::size_t solver_vars = 0;         // miter CNF variables
-  std::size_t solver_active_vars = 0;  // still in the search post-simplify
-  std::uint64_t eliminated_vars = 0;   // removed by variable elimination
-  std::uint64_t removed_clauses = 0;   // net clause-count reduction
-  double simplify_ms = 0.0;            // time spent preprocessing
+  // Formula size, sampled at DIP-loop start (before any I/O-constraint
+  // cone is appended).
+  std::size_t solver_vars = 0;  // miter CNF variables
 
-  // Incremental-miter accounting. incremental_rounds / clauses_carried are
-  // counted by the solver on every solve() entry (learnt clauses persist
-  // across DIP iterations); encode_reused counts cone gates the folding
-  // encoder resolved without emitting clauses.
-  std::uint64_t incremental_rounds = 0;  // solve() calls on the miter
-  std::uint64_t clauses_carried = 0;     // learnts alive at solve() entry, summed
-  std::uint64_t encode_reused = 0;       // folded-away cone gates
+  // Persistent-miter accounting. solve_calls / clauses_carried are counted
+  // by the solver on every solve() entry (learnt clauses persist across
+  // DIP iterations); encode_reused counts cone gates the folding encoder
+  // resolved without emitting clauses.
+  std::uint64_t solve_calls = 0;      // solve() calls on the miter
+  std::uint64_t clauses_carried = 0;  // learnts alive at solve() entry, summed
+  std::uint64_t encode_reused = 0;    // folded-away cone gates
 
   // Oracle-traffic accounting, read from the outermost oracle layer.
   // Every batch element counts exactly once in oracle_queries /
@@ -163,7 +153,6 @@ struct AppSatOptions {
   std::size_t random_queries = 64;   // samples per round
   std::size_t settle_rounds = 2;     // consecutive clean rounds to stop
   std::uint64_t seed = 1;
-  bool preprocess = false;           // as in SatAttackOptions
   std::int64_t deadline_ms = -1;     // as in SatAttackOptions
   /// As in SatAttackOptions: batches each random-sampling round's
   /// `random_queries` probes (and all vote replicas) into query_batch

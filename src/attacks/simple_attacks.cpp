@@ -76,8 +76,7 @@ HillClimbResult hill_climb_attack(const LockedCircuit& locked, Oracle& oracle,
 
 SensitizationResult sensitization_attack(const LockedCircuit& locked,
                                          Oracle& oracle, std::uint64_t seed,
-                                         std::int64_t conflict_budget,
-                                         bool incremental) {
+                                         std::int64_t conflict_budget) {
   Rng rng(seed);
   Simulator sim(locked.netlist);
   const std::size_t nd = locked.num_data_inputs;
@@ -86,23 +85,6 @@ SensitizationResult sensitization_attack(const LockedCircuit& locked,
   SensitizationResult result;
   result.key_bits.assign(nk, -1);
   constexpr int kReferences = 4;  // independent other-key references
-
-  // Incremental mode: the two-copy formula is bit- and
-  // reference-independent (only the key pinning varies), so it is encoded
-  // once and every round becomes an assumption set over the key vars of
-  // both copies. Learnt clauses about the shared sensitization structure
-  // carry across all nk * kReferences solves.
-  sat::Solver inc_s;
-  sat::CircuitVars ic0, ic1;
-  if (incremental) {
-    sat::Encoder e(inc_s);
-    ic0 = e.encode(locked.netlist);
-    std::vector<sat::Var> shared(nd + nk, sat::Encoder::kNoVar);
-    for (std::size_t i = 0; i < nd; ++i) shared[i] = ic0.inputs[i];
-    ic1 = e.encode(locked.netlist, shared);
-    e.force_not_equal(ic0.outputs, ic1.outputs);
-  }
-  std::vector<sat::Lit> assume;
 
   for (std::size_t bit = 0; bit < nk; ++bit) {
     // A verdict from one reference key can be consistently wrong when the
@@ -115,49 +97,30 @@ SensitizationResult sensitization_attack(const LockedCircuit& locked,
       const BitVec ref = BitVec::random(nk, rng);
       // SAT search: input X where flipping key bit `bit` (others at ref)
       // changes some output.
-      BitVec x(nd);
-      if (incremental) {
-        assume.clear();
-        for (std::size_t j = 0; j < nk; ++j) {
-          const bool rv = ref.get(j);
-          assume.push_back(sat::Lit(ic0.inputs[nd + j],
-                                    !(j == bit ? false : rv)));
-          assume.push_back(sat::Lit(ic1.inputs[nd + j],
-                                    !(j == bit ? true : rv)));
-        }
-        if (inc_s.solve(assume, conflict_budget) !=
-            sat::Solver::Result::kSat) {
-          consistent = false;  // not sensitizable under this reference
-          break;
-        }
-        for (std::size_t i = 0; i < nd; ++i)
-          x.set(i, inc_s.model_value(ic0.inputs[i]));
-      } else {
-        sat::Solver s;
-        sat::Encoder e(s);
-        const auto c0 = e.encode(locked.netlist);
-        std::vector<sat::Var> shared(nd + nk, sat::Encoder::kNoVar);
-        for (std::size_t i = 0; i < nd; ++i) shared[i] = c0.inputs[i];
-        const auto c1 = e.encode(locked.netlist, shared);
-        for (std::size_t j = 0; j < nk; ++j) {
-          const bool rv = ref.get(j);
-          const bool v0 = j == bit ? false : rv;
-          const bool v1 = j == bit ? true : rv;
-          s.add_clause({sat::Lit(c0.inputs[nd + j], !v0)});
-          s.add_clause({sat::Lit(c1.inputs[nd + j], !v1)});
-        }
-        e.force_not_equal(c0.outputs, c1.outputs);
-        const bool is_sat =
-            s.solve({}, conflict_budget) == sat::Solver::Result::kSat;
-        result.solver_rounds += s.stats().incremental_rounds;
-        result.clauses_carried += s.stats().clauses_carried;
-        if (!is_sat) {
-          consistent = false;  // not sensitizable under this reference
-          break;
-        }
-        for (std::size_t i = 0; i < nd; ++i)
-          x.set(i, s.model_value(c0.inputs[i]));
+      sat::Solver s;
+      sat::Encoder e(s);
+      const auto c0 = e.encode(locked.netlist);
+      std::vector<sat::Var> shared(nd + nk, sat::Encoder::kNoVar);
+      for (std::size_t i = 0; i < nd; ++i) shared[i] = c0.inputs[i];
+      const auto c1 = e.encode(locked.netlist, shared);
+      for (std::size_t j = 0; j < nk; ++j) {
+        const bool rv = ref.get(j);
+        const bool v0 = j == bit ? false : rv;
+        const bool v1 = j == bit ? true : rv;
+        s.add_clause({sat::Lit(c0.inputs[nd + j], !v0)});
+        s.add_clause({sat::Lit(c1.inputs[nd + j], !v1)});
       }
+      e.force_not_equal(c0.outputs, c1.outputs);
+      const bool is_sat =
+          s.solve({}, conflict_budget) == sat::Solver::Result::kSat;
+      result.solver_rounds += s.stats().solve_calls;
+      if (!is_sat) {
+        consistent = false;  // not sensitizable under this reference
+        break;
+      }
+      BitVec x(nd);
+      for (std::size_t i = 0; i < nd; ++i)
+        x.set(i, s.model_value(c0.inputs[i]));
       const OracleResult qr = oracle.query(x);
       if (!qr.ok()) {
         consistent = false;  // no observation: the bit stays unresolved
@@ -192,10 +155,6 @@ SensitizationResult sensitization_attack(const LockedCircuit& locked,
     if (!consistent || verdict < 0) continue;
     result.key_bits[bit] = verdict;
     ++result.resolved;
-  }
-  if (incremental) {
-    result.solver_rounds = inc_s.stats().incremental_rounds;
-    result.clauses_carried = inc_s.stats().clauses_carried;
   }
   result.oracle_queries = oracle.query_count();
   return result;

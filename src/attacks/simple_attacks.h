@@ -35,12 +35,9 @@ struct SensitizationResult {
   std::vector<int> key_bits;  // -1 unknown, 0/1 inferred
   std::size_t resolved = 0;
   std::size_t oracle_queries = 0;
-  // Solver accounting (see SatAttackResult): solve() calls and learnt
-  // clauses alive at each call's entry. With `incremental` one persistent
-  // solver serves every (bit, reference) round, so clauses_carried grows;
-  // the per-round fresh solvers of the default mode carry nothing.
+  // solve() calls, one per (bit, reference) round that reached the SAT
+  // search; every round gets a fresh solver.
   std::uint64_t solver_rounds = 0;
-  std::uint64_t clauses_carried = 0;
 };
 
 /// Individual key-bit sensitization: for each key bit, search (via SAT)
@@ -51,16 +48,9 @@ struct SensitizationResult {
 /// entangles bits through its control gates, collapsing the resolution
 /// rate — the property [26] claims and our tests check. SAT calls beyond
 /// `conflict_budget` count the bit as unresolved.
-///
-/// `incremental` keeps ONE solver for the whole attack: the two-copy
-/// sensitization formula (outputs forced unequal) is encoded once and each
-/// (bit, reference) round pins both key vectors via assumptions instead of
-/// unit clauses in a fresh solver. Equisatisfiable per round, but the
-/// search trajectory differs, so it defaults off.
 SensitizationResult sensitization_attack(const LockedCircuit& locked,
                                          Oracle& oracle,
                                          std::uint64_t seed = 1,
-                                         std::int64_t conflict_budget = 20000,
-                                         bool incremental = false);
+                                         std::int64_t conflict_budget = 20000);
 
 }  // namespace orap

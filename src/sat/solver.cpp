@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "sat/simplify.h"
-
 namespace orap::sat {
 
 namespace {
@@ -37,8 +35,6 @@ Var Solver::new_var() {
   seen_.push_back(false);
   watches_.emplace_back();
   watches_.emplace_back();
-  frozen_.push_back(0);
-  eliminated_.push_back(0);
   heap_pos_.push_back(-1);
   heap_insert(v);
   return v;
@@ -93,9 +89,6 @@ bool Solver::add_clause(std::span<const Lit> ls) {
   for (const Lit l : add_tmp_) {
     ORAP_CHECK(l.var() >= 0 &&
                static_cast<std::size_t>(l.var()) < assigns_.size());
-    ORAP_CHECK_MSG(!eliminated_[l.var()],
-                   "clause references a variable removed by simplify() — "
-                   "freeze() it before preprocessing");
     if (value(l) == LBool::kTrue || l == ~prev) return true;  // satisfied/taut
     if (value(l) == LBool::kFalse || l == prev) continue;     // drop
     add_tmp_[out++] = l;
@@ -351,7 +344,7 @@ void Solver::analyze_final(Lit p) {
 
 Lit Solver::pick_branch() {
   Var next = -1;
-  while (next == -1 || value(next) != LBool::kUndef || eliminated_[next]) {
+  while (next == -1 || value(next) != LBool::kUndef) {
     if (heap_.empty()) return Lit();
     next = heap_pop();
   }
@@ -432,20 +425,16 @@ Solver::Result Solver::search(std::span<const Lit> assumptions,
   conflict_core_.clear();
   if (!ok_) return Result::kUnsat;
 
-  for (const Lit a : assumptions) {
+  for (const Lit a : assumptions)
     ORAP_CHECK(a.var() >= 0 &&
                static_cast<std::size_t>(a.var()) < assigns_.size());
-    ORAP_CHECK_MSG(!eliminated_[a.var()],
-                   "assumption on a variable removed by simplify() — "
-                   "freeze() it before preprocessing");
-  }
 
   if (deadline_expired()) return Result::kUnknown;
 
-  // Incremental accounting: how many learnt clauses this round starts
-  // from (all of them are formula-implied, so carrying them across
-  // assumption sets is sound) and how many rounds this instance answered.
-  ++stats_.incremental_rounds;
+  // How many learnt clauses this call starts from (all of them are
+  // formula-implied, so carrying them across assumption sets is sound)
+  // and how many calls this instance answered.
+  ++stats_.solve_calls;
   stats_.clauses_carried += learnts_.size();
 
   const std::uint64_t conflicts_at_start = stats_.conflicts;
@@ -534,129 +523,14 @@ Solver::Result Solver::search(std::span<const Lit> assumptions,
     if (next == Lit()) {
       next = pick_branch();
       if (next == Lit()) {
-        // All variables assigned: SAT. Extend the model over variables
-        // the preprocessor resolved out.
+        // All variables assigned: SAT.
         model_.assign(assigns_.begin(), assigns_.end());
-        extend_model();
         cancel_until(0);
         return Result::kSat;
       }
     }
     trail_lim_.push_back(static_cast<std::int32_t>(trail_.size()));
     enqueue(next, kNullClause);
-  }
-}
-
-// --- preprocessing ---------------------------------------------------------
-
-bool Solver::simplify() { return simplify(SimplifyOptions{}); }
-
-bool Solver::simplify(const SimplifyOptions& opts) {
-  ORAP_CHECK_MSG(decision_level() == 0, "simplify only at root level");
-  const auto t0 = std::chrono::steady_clock::now();
-  const bool result = [&]() -> bool {
-    if (!ok_) return false;
-    if (propagate() != kNullClause) {
-      ok_ = false;
-      return false;
-    }
-
-    // Extract the problem clauses reduced modulo the root trail; learnt
-    // clauses are implied by them and are simply dropped. After a full
-    // propagation an unsatisfied clause has >= 2 unassigned literals.
-    std::vector<std::vector<Lit>> db;
-    db.reserve(clauses_.size());
-    std::vector<Lit> cl;
-    for (const ClauseRef c : clauses_) {
-      const Lit* ls = lits(c);
-      const std::uint32_t size = header(c).size;
-      cl.clear();
-      bool satisfied = false;
-      for (std::uint32_t k = 0; k < size && !satisfied; ++k) {
-        if (value(ls[k]) == LBool::kTrue)
-          satisfied = true;
-        else if (value(ls[k]) == LBool::kUndef)
-          cl.push_back(ls[k]);
-      }
-      if (satisfied) continue;
-      ORAP_DCHECK(cl.size() >= 2);
-      db.push_back(cl);
-    }
-
-    // Root-assigned and already-eliminated variables are off limits too:
-    // the former stay as trail facts, the latter must not be re-recorded.
-    std::vector<bool> fr(num_vars(), false);
-    for (std::size_t v = 0; v < num_vars(); ++v)
-      fr[v] = frozen_[v] != 0 || eliminated_[v] != 0 ||
-              assigns_[v] != LBool::kUndef;
-
-    SimplifyResult res = simplify_cnf(num_vars(), std::move(db), fr, opts);
-    if (!res.ok) {
-      ok_ = false;
-      return false;
-    }
-
-    // Rebuild the clause database from the simplified form.
-    arena_.clear();
-    clauses_.clear();
-    learnts_.clear();
-    for (auto& w : watches_) w.clear();
-    for (const auto& c : res.clauses) {
-      const ClauseRef cr = alloc_clause(c, /*learnt=*/false);
-      clauses_.push_back(cr);
-      attach_clause(cr);
-    }
-    // Root-trail reasons may point into the discarded arena.
-    for (const Lit l : trail_) var_data_[l.var()].reason = kNullClause;
-
-    for (const Var v : res.eliminated) eliminated_[v] = 1;
-    elim_lits_.insert(elim_lits_.end(), res.elim_lits.begin(),
-                      res.elim_lits.end());
-    elim_block_size_.insert(elim_block_size_.end(),
-                            res.elim_block_size.begin(),
-                            res.elim_block_size.end());
-
-    for (const Lit u : res.units) {
-      if (value(u) == LBool::kTrue) continue;
-      if (value(u) == LBool::kFalse) {
-        ok_ = false;
-        return false;
-      }
-      enqueue(u, kNullClause);
-    }
-    if (propagate() != kNullClause) {
-      ok_ = false;
-      return false;
-    }
-
-    stats_.eliminated_vars += res.eliminated.size();
-    stats_.simplify_removed_clauses += res.removed_clauses;
-    stats_.simplify_subsumed += res.subsumed_clauses;
-    stats_.simplify_strengthened += res.strengthened_literals;
-    return true;
-  }();
-  stats_.simplify_ms += std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-  return result;
-}
-
-void Solver::extend_model() {
-  // Walk the elimination blocks backwards (see SimplifyResult::elim_lits);
-  // a block whose literals are all unsatisfied gets its pivot flipped.
-  std::size_t end = elim_lits_.size();
-  for (std::size_t b = elim_block_size_.size(); b-- > 0;) {
-    const std::size_t begin = end - elim_block_size_[b];
-    bool satisfied = false;
-    for (std::size_t k = begin; k < end && !satisfied; ++k) {
-      const Lit l = elim_lits_[k];
-      satisfied = model_[l.var()] == (l.sign() ? LBool::kFalse : LBool::kTrue);
-    }
-    if (!satisfied) {
-      const Lit pivot = elim_lits_[end - 1];
-      model_[pivot.var()] = pivot.sign() ? LBool::kFalse : LBool::kTrue;
-    }
-    end = begin;
   }
 }
 

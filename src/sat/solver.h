@@ -61,30 +61,16 @@ struct SolverStats {
   std::uint64_t minimized_literals = 0;
   std::uint64_t reduce_dbs = 0;
 
-  // Preprocessing (Solver::simplify) counters.
-  std::uint64_t eliminated_vars = 0;
-  std::uint64_t simplify_removed_clauses = 0;
-  std::uint64_t simplify_subsumed = 0;
-  std::uint64_t simplify_strengthened = 0;
-  double simplify_ms = 0.0;
-
-  // Incremental-solving counters. Learnt clauses persist across solve()
-  // calls on the same instance (only simplify() drops them), so
+  // Learnt clauses persist across solve() calls on the same instance, so
   // clauses_carried — the learnt count alive at each solve() entry,
-  // summed — measures how much derived knowledge later rounds start from,
-  // and incremental_rounds counts the solve() calls answered by one
-  // instance. encode_reused is filled by the encoding layer
-  // (attacks/encode_util.h, atpg): gates resolved against the persistent
-  // formula without fresh clauses.
+  // summed — measures how much derived knowledge later calls start from.
+  // solve_calls counts the solve() calls this instance answered.
   std::uint64_t clauses_carried = 0;
-  std::uint64_t incremental_rounds = 0;
-  std::uint64_t encode_reused = 0;
+  std::uint64_t solve_calls = 0;
 
   // Wall time spent inside solve(), summed over every call.
   double solve_wall_ms = 0.0;
 };
-
-struct SimplifyOptions;  // sat/simplify.h
 
 class Solver {
  public:
@@ -123,27 +109,6 @@ class Solver {
   bool deadline_expired() const {
     return has_deadline_ && std::chrono::steady_clock::now() >= deadline_;
   }
-
-  // --- SatELite-style preprocessing (sat/simplify.h) ----------------------
-
-  /// Protects a variable from preprocessing: any variable that later
-  /// add_clause() calls or solve() assumptions will mention must be frozen
-  /// before simplify() runs, because eliminated variables leave the
-  /// formula for good.
-  void freeze(Var v) { frozen_[v] = true; }
-  void thaw(Var v) { frozen_[v] = false; }
-
-  /// Runs one in-place simplification pass (bounded variable elimination +
-  /// subsumption) over the problem clauses at decision level 0. Frozen and
-  /// root-assigned variables are never eliminated; learnt clauses are
-  /// dropped (they are implied). Eliminated variables may no longer appear
-  /// in clauses or assumptions; models are reconstructed over them after
-  /// kSat. Returns false if the formula was proven UNSAT.
-  bool simplify();
-  bool simplify(const SimplifyOptions& opts);
-
-  /// True once v has been resolved out by simplify().
-  bool is_eliminated(Var v) const { return eliminated_[v] != 0; }
 
   /// Model access after kSat.
   bool model_value(Var v) const {
@@ -231,7 +196,6 @@ class Solver {
   void attach_clause(ClauseRef c);
   void detach_clause(ClauseRef c);
   std::uint32_t compute_lbd(const std::vector<Lit>& lits);
-  void extend_model();
 
   struct Watcher {
     ClauseRef clause;
@@ -255,13 +219,6 @@ class Solver {
   std::size_t qhead_ = 0;
 
   std::vector<Lit> conflict_core_;
-
-  // Preprocessing state: frozen flags, eliminated flags, and the model-
-  // reconstruction stack (see SimplifyResult::elim_lits for the layout).
-  std::vector<char> frozen_;
-  std::vector<char> eliminated_;
-  std::vector<Lit> elim_lits_;
-  std::vector<std::uint32_t> elim_block_size_;
 
   std::vector<Lit> add_tmp_;  // add_clause scratch (no per-clause alloc)
 

@@ -102,15 +102,15 @@ std::uint64_t job_config_hash(const AttackJob& job) {
   hash_u64(&buf, res.quarantine ? 1 : 0);
   hash_u64(&buf, res.max_evictions);
   hash_u64(&buf, res.degraded_samples);
-  // Three retired slots: the portfolio size, the cube-split depth and
-  // (after preprocess) the constant-folding switch. The attacks now run
-  // one solver, never split and always fold, so the slots hash the
-  // constants 1, 0 and 1: checkpoints written with that configuration
-  // still resume, and any other old checkpoint is refused as a config
-  // mismatch instead of diverging on replay.
+  // Four retired slots: the portfolio size, the cube-split depth, the CNF
+  // preprocessing switch and the constant-folding switch. The attacks now
+  // run one solver, never split or preprocess and always fold, so the
+  // slots hash the constants 1, 0, 0 and 1: checkpoints written with that
+  // configuration still resume, and any other old checkpoint is refused
+  // as a config mismatch instead of diverging on replay.
   hash_u64(&buf, 1);
   hash_u64(&buf, 0);
-  hash_u64(&buf, (app ? job.appsat.preprocess : job.sat.preprocess) ? 1 : 0);
+  hash_u64(&buf, 0);
   hash_u64(&buf, 1);
   // Batching changes the oracle-traffic trajectory (flush boundaries and,
   // with dip_batch > 1, which DIPs get asked), so a checkpoint taken at

@@ -734,12 +734,12 @@ TEST(Checkpoint, JobServerResumesFreshCheckpointByteIdentical) {
 }
 
 TEST(Checkpoint, ConfigHashKeepsFoldedNoCubeSlots) {
-  // The attacks run one solver, always constant-fold and never
-  // cube-split; the config hash pins those three retired option slots at
-  // solver instances = 1 / fold = 1 / cube = 0. These are the hashes of
-  // the same jobs written in that configuration, so such checkpoints
-  // still resume; every other setting of the slots is refused as a config
-  // mismatch.
+  // The attacks run one solver, always constant-fold and never cube-split
+  // or preprocess; the config hash pins those four retired option slots at
+  // solver instances = 1 / fold = 1 / cube = 0 / preprocess = 0. These are
+  // the hashes of the same jobs written in that configuration, so such
+  // checkpoints still resume; every other setting of the slots is refused
+  // as a config mismatch.
   const LockedCircuit lc = multi_dip_lock();
   serve::AttackJob sat;
   sat.circuit = &lc;

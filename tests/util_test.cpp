@@ -1,11 +1,15 @@
-// Unit and property tests for src/util: BitVec, Rng, GF(2) algebra.
+// Unit and property tests for src/util: BitVec, Rng, GF(2) algebra, and
+// the typed command-line flag parser.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/bitvec.h"
 #include "util/check.h"
+#include "util/flags.h"
 #include "util/gf2.h"
 #include "util/rng.h"
 
@@ -217,6 +221,130 @@ TEST(Gf2Solve, ZeroMatrixNonzeroRhsInconsistent) {
   BitVec b(5);
   b.set(3, true);
   EXPECT_FALSE(gf2_solve(a, b).has_value());
+}
+
+
+// --- flags ------------------------------------------------------------------
+
+constexpr flags::Flag kTestFlags[] = {
+    flags::on_off("quarantine"), flags::count("votes", 1, 63),
+    flags::rate("noise"),        flags::rate("scale", 0.0, 16.0, true),
+    flags::text("key"),
+};
+
+/// Parses `argv` (without the program name) against kTestFlags; returns
+/// the diagnostic, empty on success.
+std::string parse_flags(std::vector<const char*> argv, flags::Args* out) {
+  argv.insert(argv.begin(), "prog");
+  std::string error;
+  const bool ok =
+      flags::parse(kTestFlags, static_cast<int>(argv.size()),
+                   const_cast<char**>(argv.data()), 1, true, out, &error);
+  EXPECT_EQ(ok, error.empty());
+  return error;
+}
+
+TEST(Flags, SwitchNeverConsumesTheNextToken) {
+  flags::Args a;
+  ASSERT_EQ(parse_flags({"--quarantine", "l.bench", "--key", "k.txt"}, &a),
+            "");
+  EXPECT_TRUE(a.on("quarantine"));
+  ASSERT_EQ(a.positional.size(), 1u);
+  EXPECT_EQ(a.positional[0], "l.bench");
+  EXPECT_EQ(a.text("key", ""), "k.txt");
+  // A digit after a switch is a positional too, never the switch's value.
+  ASSERT_EQ(parse_flags({"--quarantine", "0"}, &a), "");
+  EXPECT_TRUE(a.on("quarantine"));
+  EXPECT_EQ(a.positional, std::vector<std::string>{"0"});
+}
+
+TEST(Flags, SwitchTakesEqualsZeroOrOne) {
+  flags::Args a;
+  ASSERT_EQ(parse_flags({"--quarantine=0"}, &a), "");
+  EXPECT_TRUE(a.has("quarantine"));
+  EXPECT_FALSE(a.on("quarantine"));
+  ASSERT_EQ(parse_flags({"--quarantine=1"}, &a), "");
+  EXPECT_TRUE(a.on("quarantine"));
+  ASSERT_EQ(parse_flags({}, &a), "");
+  EXPECT_FALSE(a.on("quarantine"));
+  for (const char* bad : {"--quarantine=2", "--quarantine=", "--quarantine=on"})
+    EXPECT_NE(parse_flags({bad}, &a).find("invalid --quarantine"),
+              std::string::npos)
+        << bad;
+}
+
+TEST(Flags, ValuedFlagsTakeEqualsOrTheNextToken) {
+  flags::Args a;
+  ASSERT_EQ(parse_flags({"--votes=3", "-noise", "0.25", "--key", "k"}, &a),
+            "");
+  EXPECT_EQ(a.count("votes", 1), 3u);
+  EXPECT_DOUBLE_EQ(a.rate("noise", 0.0), 0.25);
+  EXPECT_EQ(a.text("key", ""), "k");
+  EXPECT_DOUBLE_EQ(a.rate("scale", 0.15), 0.15);  // absent: the fallback
+  // The last of a repeated flag wins.
+  ASSERT_EQ(parse_flags({"--votes", "3", "--votes=5"}, &a), "");
+  EXPECT_EQ(a.count("votes", 1), 5u);
+  // A valued flag with nothing, or another flag, after it has no value.
+  EXPECT_NE(parse_flags({"--key"}, &a).find("--key needs a value"),
+            std::string::npos);
+  EXPECT_NE(parse_flags({"--key", "--quarantine"}, &a).find("--key"),
+            std::string::npos);
+}
+
+TEST(Flags, RejectsMalformedNumbers) {
+  flags::Args a;
+  for (const char* bad : {"--votes=3x", "--votes=", "--votes=-3",
+                          "--votes=+3", "--votes= 3", "--votes=0x3",
+                          "--votes=1.5", "--votes=99999999999999999999"})
+    EXPECT_NE(parse_flags({bad}, &a).find("invalid --votes"),
+              std::string::npos)
+        << bad;
+  for (const char* bad : {"--noise=abc", "--noise=0.5abc", "--noise=nan",
+                          "--noise=inf", "--noise=1e999"})
+    EXPECT_NE(parse_flags({bad}, &a).find("invalid --noise"),
+              std::string::npos)
+        << bad;
+  // A negative number after a valued flag is its (malformed) value.
+  EXPECT_NE(parse_flags({"--votes", "-3"}, &a).find("invalid --votes"),
+            std::string::npos);
+  EXPECT_NE(parse_flags({"--key="}, &a).find("invalid --key"),
+            std::string::npos);
+}
+
+TEST(Flags, RejectsOutOfRangeValues) {
+  flags::Args a;
+  EXPECT_NE(parse_flags({"--votes=0"}, &a).find("[1, 63]"),
+            std::string::npos);
+  EXPECT_NE(parse_flags({"--votes=64"}, &a).find("[1, 63]"),
+            std::string::npos);
+  EXPECT_EQ(parse_flags({"--votes=63"}, &a), "");
+  EXPECT_NE(parse_flags({"--noise=1.5"}, &a).find("[0, 1]"),
+            std::string::npos);
+  EXPECT_EQ(parse_flags({"--noise=1"}, &a), "");
+  // An open lower bound excludes the bound itself.
+  EXPECT_NE(parse_flags({"--scale=0"}, &a).find("(0, 16]"),
+            std::string::npos);
+  EXPECT_EQ(parse_flags({"--scale=16"}, &a), "");
+}
+
+TEST(Flags, RejectsUnknownFlags) {
+  flags::Args a;
+  EXPECT_EQ(parse_flags({"--vote=3"}, &a), "unknown flag --vote");
+  EXPECT_EQ(parse_flags({"-bogus"}, &a), "unknown flag -bogus");
+  EXPECT_EQ(parse_flags({"--"}, &a), "unknown flag --");
+  // Without positionals allowed, a bare word is an error too.
+  const char* argv[] = {"prog", "extra"};
+  std::string error;
+  EXPECT_FALSE(flags::parse(kTestFlags, 2, const_cast<char**>(argv), 1,
+                            false, &a, &error));
+  EXPECT_EQ(error, "unknown argument 'extra'");
+}
+
+TEST(Flags, GettersMustMatchTheTable) {
+  flags::Args a;
+  ASSERT_EQ(parse_flags({"--votes=3"}, &a), "");
+  EXPECT_THROW(a.rate("votes", 0.0), CheckError);  // wrong kind
+  EXPECT_THROW(a.count("bogus", 0), CheckError);   // not in the table
 }
 
 }  // namespace

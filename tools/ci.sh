@@ -4,8 +4,7 @@
 #   2. a ThreadSanitizer build (ORAP_SANITIZE=thread) to race-check the
 #      work-stealing pool and everything layered on it,
 #   3. an AddressSanitizer build (ORAP_SANITIZE=address) to catch heap
-#      errors in the arena / occurrence-list code of the solver and the
-#      CNF simplifier, and
+#      errors in the clause arena and watch lists of the solver, and
 #   4. an UndefinedBehaviorSanitizer build (ORAP_SANITIZE=undefined) to
 #      catch overflow/shift/alignment UB in the bit-packing and solver
 #      hot paths.
@@ -64,16 +63,6 @@ if [[ "$rc" != "2" ]]; then
   echo "error: bench --portfolio=2 exited $rc, want 2" >&2
   exit 1
 fi
-
-# Attack-suite smoke with CNF preprocessing on: the full oracle-guided
-# attack stack (SAT / AppSAT / Double-DIP / hill-climb / sensitization)
-# over simplified miters, JSON record validated and carrying the flag.
-echo "==== [plain] attack suite --preprocess smoke ===="
-PRE_OUT="$PREFIX/attack_suite_pre.json"
-"$PREFIX/bench/attack_suite" --scale=0.05 --preprocess=1 \
-  --json="$PRE_OUT" >/dev/null
-python3 -m json.tool "$PRE_OUT" >/dev/null
-grep -q '"preprocess": 1' "$PRE_OUT"
 
 # Attack-core determinism smoke: the default attack suite (one persistent
 # miter solver, constant-folded oracle constraints) must produce a

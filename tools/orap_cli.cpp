@@ -16,15 +16,12 @@
 #include <cstdio>
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -56,6 +53,7 @@
 #include "serve/transport.h"
 #include "serve/wire.h"
 #include "util/bytes.h"
+#include "util/flags.h"
 #include "util/parallel.h"
 
 using namespace orap;
@@ -67,72 +65,7 @@ namespace {
   std::exit(2);
 }
 
-/// Strict unsigned parse: the whole value must be decimal digits.
-std::size_t parse_num(const std::string& flag, const std::string& v) {
-  std::size_t out = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (v.empty() || ec != std::errc() || ptr != end)
-    usage_error("invalid value '" + v + "' for --" + flag);
-  return out;
-}
-
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;
-
-  /// Parses argv[first..]. `known` lists the flags the command reads
-  /// (space-separated, without dashes); any other flag but the global
-  /// --threads exits 2 naming it, so a misspelled or retired option is
-  /// never silently ignored.
-  static Args parse(int argc, char** argv, int first, const std::string& cmd,
-                    const std::string& known) {
-    Args a;
-    for (int i = first; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.size() >= 2 && arg[0] == '-' &&
-          !std::isdigit(static_cast<unsigned char>(arg[1]))) {
-        const std::size_t dashes = arg.rfind("--", 0) == 0 ? 2 : 1;
-        const auto eq = arg.find('=');
-        const std::string key = arg.substr(
-            dashes, eq == std::string::npos ? std::string::npos : eq - dashes);
-        if (key != "threads" &&
-            (" " + known + " ").find(" " + key + " ") == std::string::npos)
-          usage_error(cmd + ": unknown flag " + arg.substr(0, dashes) + key);
-        if (eq != std::string::npos) {
-          a.options[key] = arg.substr(eq + 1);
-        } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-          a.options[key] = argv[++i];
-        } else {
-          a.options[key] = "1";
-        }
-      } else {
-        a.positional.push_back(arg);
-      }
-    }
-    return a;
-  }
-
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  std::size_t get_num(const std::string& key, std::size_t fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : parse_num(key, it->second);
-  }
-  double get_rate(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    const std::string& v = it->second;
-    char* end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (v.empty() || end != v.c_str() + v.size())
-      usage_error("invalid value '" + v + "' for --" + key);
-    return d;
-  }
-  bool has(const std::string& key) const { return options.count(key) > 0; }
-};
+using flags::Args;
 
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "orap: %s\n", msg.c_str());
@@ -230,17 +163,17 @@ const char* attack_status_slug(SatAttackResult::Status s) {
 /// replay divergence guard backstops the rest).
 std::uint64_t cli_checkpoint_hash(const Args& a, const LockedCircuit& lc) {
   std::vector<std::uint8_t> buf;
-  bytes::put_string(&buf, a.get("kind", "sat"));
+  bytes::put_string(&buf, a.text("kind", "sat"));
   bytes::put_u64(&buf, lc.num_data_inputs);
   bytes::put_u64(&buf, lc.num_key_inputs);
-  bytes::put_u64(&buf, a.get_num("max-iter", 4096));
-  bytes::put_u64(&buf, a.get_num("budget", 0));
-  bytes::put_u64(&buf, a.get_num("quarantine", 0));
-  bytes::put_u64(&buf, a.get_num("oracle-votes", 1));
+  bytes::put_u64(&buf, a.count("max-iter", 4096));
+  bytes::put_u64(&buf, a.count("budget", 0));
+  bytes::put_u64(&buf, a.on("quarantine") ? 1 : 0);
+  bytes::put_u64(&buf, a.count("oracle-votes", 1));
   // Batching changes the oracle-traffic trajectory, so a checkpoint taken
   // at one setting must not resume at another.
-  bytes::put_u64(&buf, a.get_num("oracle-batch", 0));
-  bytes::put_u64(&buf, a.get_num("dip-batch", 1));
+  bytes::put_u64(&buf, a.on("oracle-batch") ? 1 : 0);
+  bytes::put_u64(&buf, a.count("dip-batch", 1));
   const std::uint32_t lo = bytes::crc32(buf.data(), buf.size());
   const std::uint32_t hi = bytes::crc32(buf.data(), buf.size(), 0x5bd1e995u);
   return (static_cast<std::uint64_t>(hi) << 32) | lo;
@@ -249,20 +182,20 @@ std::uint64_t cli_checkpoint_hash(const Args& a, const LockedCircuit& lc) {
 int cmd_gen(const Args& a) {
   Netlist n;
   if (a.has("profile")) {
-    const auto& p = benchmark_profile(a.get("profile", ""));
-    const double scale = a.get_rate("scale", 1.0);
-    n = make_benchmark(p, scale, a.get_num("seed", 0));
+    const auto& p = benchmark_profile(a.text("profile", ""));
+    const double scale = a.rate("scale", 1.0);
+    n = make_benchmark(p, scale, a.count("seed", 0));
   } else {
     GenSpec spec;
-    spec.num_inputs = a.get_num("inputs", 64);
-    spec.num_outputs = a.get_num("outputs", 32);
-    spec.num_gates = a.get_num("gates", 1000);
-    spec.depth = static_cast<std::uint32_t>(a.get_num("depth", 16));
-    spec.seed = a.get_num("seed", 1);
-    spec.name = a.get("name", "synth");
+    spec.num_inputs = a.count("inputs", 64);
+    spec.num_outputs = a.count("outputs", 32);
+    spec.num_gates = a.count("gates", 1000);
+    spec.depth = static_cast<std::uint32_t>(a.count("depth", 16));
+    spec.seed = a.count("seed", 1);
+    spec.name = a.text("name", "synth");
     n = generate_circuit(spec);
   }
-  const std::string out = a.get("o", "out.bench");
+  const std::string out = a.text("o", "out.bench");
   write_file(out, write_bench_string(n));
   std::printf("wrote %s: %zu gates, %zu inputs, %zu outputs\n", out.c_str(),
               n.gate_count_no_inverters(), n.num_inputs(), n.num_outputs());
@@ -289,12 +222,12 @@ int cmd_lock(const Args& a) {
         "[--ctrl 3] [--hd-h 1] [--keys-per-gate 2] [--seed S] "
         "[-o out.bench] [--key-out key.txt]");
   const Netlist n = read_bench_file(a.positional[0]);
-  const std::string scheme = a.get("scheme", "weighted");
-  const std::size_t key_bits = a.get_num("key-bits", 64);
-  const std::uint64_t seed = a.get_num("seed", 1);
+  const std::string scheme = a.text("scheme", "weighted");
+  const std::size_t key_bits = a.count("key-bits", 64);
+  const std::uint64_t seed = a.count("seed", 1);
   LockedCircuit lc;
   if (scheme == "weighted")
-    lc = lock_weighted(n, key_bits, a.get_num("ctrl", 3), seed);
+    lc = lock_weighted(n, key_bits, a.count("ctrl", 3), seed);
   else if (scheme == "xor")
     lc = lock_random_xor(n, key_bits, seed);
   else if (scheme == "sarlock")
@@ -302,21 +235,21 @@ int cmd_lock(const Args& a) {
   else if (scheme == "antisat")
     lc = lock_antisat(n, key_bits, seed);
   else if (scheme == "sfll-hd")
-    lc = lock_sfll_hd(n, key_bits, a.get_num("hd-h", 1), seed);
+    lc = lock_sfll_hd(n, key_bits, a.count("hd-h", 1), seed);
   else if (scheme == "kgate")
-    lc = lock_kgate(n, key_bits, a.get_num("keys-per-gate", 2), seed);
+    lc = lock_kgate(n, key_bits, a.count("keys-per-gate", 2), seed);
   else
     die("unknown scheme '" + scheme + "'");
 
-  const std::string out = a.get("o", "locked.bench");
+  const std::string out = a.text("o", "locked.bench");
   write_file(out, write_bench_string(lc.netlist));
-  const std::string key_out = a.get("key-out", "key.txt");
+  const std::string key_out = a.text("key-out", "key.txt");
   write_file(key_out, key_to_string(lc.correct_key));
   std::printf("locked with %s (%zu key bits); netlist -> %s, key -> %s\n",
               scheme.c_str(), lc.num_key_inputs, out.c_str(),
               key_out.c_str());
   if (a.has("verilog"))
-    write_file(a.get("verilog", ""), write_verilog_string(lc.netlist));
+    write_file(a.text("verilog", ""), write_verilog_string(lc.netlist));
   return 0;
 }
 
@@ -328,16 +261,16 @@ int cmd_resynth(const Args& a) {
   std::printf("AIG: %zu -> %zu AND nodes, depth %u -> %u\n",
               before.num_ands(), after.num_ands(), before.depth(),
               after.depth());
-  if (a.has("o")) write_file(a.get("o", ""), write_bench_string(after.to_netlist()));
+  if (a.has("o")) write_file(a.text("o", ""), write_bench_string(after.to_netlist()));
   return 0;
 }
 
 int cmd_hd(const Args& a) {
   if (a.positional.empty() || !a.has("key"))
     die("usage: orap hd <locked.bench> --key key.txt [--words N] [--keys N]");
-  const LockedCircuit lc = load_locked(a.positional[0], a.get("key", ""));
+  const LockedCircuit lc = load_locked(a.positional[0], a.text("key", ""));
   const HdResult hd = hamming_corruptibility(
-      lc, a.get_num("words", 128), a.get_num("keys", 8), a.get_num("seed", 7));
+      lc, a.count("words", 128), a.count("keys", 8), a.count("seed", 7));
   std::printf("HD = %.2f%% over %zu patterns x %zu wrong keys\n",
               hd.hd_percent, hd.patterns, hd.keys);
   return 0;
@@ -347,13 +280,12 @@ int cmd_atpg(const Args& a) {
   if (a.positional.empty()) die("usage: orap atpg <in.bench> [--random-words N] [--budget B]");
   const Netlist n = read_bench_file(a.positional[0]);
   AtpgOptions opts;
-  opts.random_words = a.get_num("random-words", 256);
+  opts.random_words = a.count("random-words", 256);
   opts.conflict_budget =
-      static_cast<std::int64_t>(a.get_num("budget", 10000));
-  opts.seed = a.get_num("seed", 1);
-  opts.preprocess = a.get_num("preprocess", 0) != 0;
+      static_cast<std::int64_t>(a.count("budget", 10000));
+  opts.seed = a.count("seed", 1);
   if (a.has("deadline-ms"))
-    opts.deadline_ms = static_cast<std::int64_t>(a.get_num("deadline-ms", 0));
+    opts.deadline_ms = static_cast<std::int64_t>(a.count("deadline-ms", 0));
   const AtpgResult r = run_atpg(n, opts);
   std::printf("faults (collapsed):  %zu\n", r.total_faults);
   std::printf("fault coverage:      %.2f%%\n", r.fault_coverage_pct());
@@ -388,29 +320,29 @@ int cmd_attack(const Args& a) {
         "queries go through a real OraP chip's scan protocol; --connect/"
         "--oracle-cmd: a served oracle holds the device — no key file "
         "needed)");
-  const LockedCircuit lc = load_locked(a.positional[0], a.get("key", ""));
+  const LockedCircuit lc = load_locked(a.positional[0], a.text("key", ""));
   // Oracle selection: golden (conventional chip), a live OraP chip, or a
   // served oracle reached over TCP / a subprocess's stdio.
   std::unique_ptr<OrapChip> chip;
   std::unique_ptr<Oracle> oracle_holder;
   std::unique_ptr<serve::ChaosEngine> chaos_engine;
   std::unique_ptr<serve::RemoteOracle> remote_holder;
-  const std::size_t reconnect_budget = a.get_num("reconnect", 0);
+  const std::size_t reconnect_budget = a.count("reconnect", 0);
   if (remote_oracle) {
-    const int io_timeout = static_cast<int>(a.get_num("io-timeout-ms", 30000));
+    const int io_timeout = static_cast<int>(a.count("io-timeout-ms", 30000));
     const int connect_timeout =
-        static_cast<int>(a.get_num("connect-timeout-ms", 10000));
+        static_cast<int>(a.count("connect-timeout-ms", 10000));
     // Client-side link fault injection (--chaos-*): one engine shared by
     // every transport the dial factory creates, so the fault script runs
     // on deterministically across redials instead of restarting from the
     // seed. Default rates are 0 — the wrapper is only built when asked.
     serve::ChaosOptions chaos;
-    chaos.disconnect_rate = a.get_rate("chaos-disconnect-rate", 0.0);
-    chaos.corrupt_rate = a.get_rate("chaos-corrupt-rate", 0.0);
-    chaos.truncate_rate = a.get_rate("chaos-truncate-rate", 0.0);
-    chaos.delay_rate = a.get_rate("chaos-delay-rate", 0.0);
-    chaos.delay_us = a.get_num("chaos-delay-us", 100);
-    chaos.seed = a.get_num("chaos-seed", 1);
+    chaos.disconnect_rate = a.rate("chaos-disconnect-rate", 0.0);
+    chaos.corrupt_rate = a.rate("chaos-corrupt-rate", 0.0);
+    chaos.truncate_rate = a.rate("chaos-truncate-rate", 0.0);
+    chaos.delay_rate = a.rate("chaos-delay-rate", 0.0);
+    chaos.delay_us = a.count("chaos-delay-us", 100);
+    chaos.seed = a.count("chaos-seed", 1);
     if (chaos.any()) {
       chaos_engine = std::make_unique<serve::ChaosEngine>(chaos);
       std::printf("oracle link chaos: disconnect %.4f, corrupt %.4f, "
@@ -422,12 +354,13 @@ int cmd_attack(const Args& a) {
     }
     serve::TransportFactory dial;
     if (a.has("connect")) {
-      const std::string hp = a.get("connect", "");
+      const std::string hp = a.text("connect", "");
       const auto colon = hp.rfind(':');
       if (colon == std::string::npos) die("--connect expects host:port");
       const std::string host = hp.substr(0, colon);
-      const auto port = static_cast<std::uint16_t>(
-          parse_num("connect", hp.substr(colon + 1)));
+      std::uint64_t port = 0;
+      if (!flags::parse_count(hp.substr(colon + 1), &port) || port > 65535)
+        usage_error("invalid --connect port '" + hp.substr(colon + 1) + "'");
       dial = [host, port, io_timeout, connect_timeout,
               engine =
                   chaos_engine.get()]() -> std::unique_ptr<serve::Transport> {
@@ -438,7 +371,7 @@ int cmd_attack(const Args& a) {
       };
     } else {
       std::vector<std::string> cmd_argv;
-      std::istringstream is(a.get("oracle-cmd", ""));
+      std::istringstream is(a.text("oracle-cmd", ""));
       for (std::string tok; is >> tok;) cmd_argv.push_back(tok);
       dial = [cmd_argv, io_timeout,
               engine =
@@ -451,19 +384,19 @@ int cmd_attack(const Args& a) {
     }
     std::unique_ptr<serve::Transport> transport = dial();
     if (!transport)
-      die(a.has("connect") ? "cannot connect to " + a.get("connect", "")
+      die(a.has("connect") ? "cannot connect to " + a.text("connect", "")
                            : "cannot spawn oracle command");
     serve::RemoteOracleOptions ropts;
     if (reconnect_budget > 0) {
       serve::ReconnectOptions rc;
-      rc.max_attempts = a.get_num("reconnect-attempts", 8);
-      rc.backoff_ms = a.get_num("reconnect-backoff-ms", 10);
-      rc.backoff_max_ms = a.get_num("reconnect-backoff-max-ms", 2000);
+      rc.max_attempts = a.count("reconnect-attempts", 8);
+      rc.backoff_ms = a.count("reconnect-backoff-ms", 10);
+      rc.backoff_max_ms = a.count("reconnect-backoff-max-ms", 2000);
       rc.jitter_seed = chaos.seed + 17;
       transport = std::make_unique<serve::ReconnectingTransport>(
           dial, rc, std::move(transport));
       ropts.max_recoveries = reconnect_budget;
-      ropts.state_refresh_batches = a.get_num("reconnect-state-every", 1);
+      ropts.state_refresh_batches = a.count("reconnect-state-every", 1);
     }
     std::string err;
     remote_holder =
@@ -477,21 +410,21 @@ int cmd_attack(const Args& a) {
           std::to_string(lc.num_data_inputs) + "x" +
           std::to_string(lc.netlist.num_outputs()));
     std::printf("oracle: served (%s)\n",
-                a.has("connect") ? a.get("connect", "").c_str()
+                a.has("connect") ? a.text("connect", "").c_str()
                                  : "subprocess stdio");
-  } else if (a.get("oracle", "golden") == "orap") {
-    LockedCircuit chip_lc = load_locked(a.positional[0], a.get("key", ""));
+  } else if (a.text("oracle", "golden") == "orap") {
+    LockedCircuit chip_lc = load_locked(a.positional[0], a.text("key", ""));
     const std::size_t min_pis =
         chip_lc.num_data_inputs > chip_lc.netlist.num_outputs()
             ? chip_lc.num_data_inputs - chip_lc.netlist.num_outputs() + 1
             : 1;
-    const std::size_t pis = a.get_num(
+    const std::size_t pis = a.count(
         "pis", std::min(chip_lc.num_data_inputs - 1,
                         std::max<std::size_t>(8, min_pis)));
     OrapOptions copt;
     copt.variant = OrapVariant::kModified;
     chip = std::make_unique<OrapChip>(std::move(chip_lc), pis, copt,
-                                      a.get_num("seed", 1));
+                                      a.count("seed", 1));
     oracle_holder = std::make_unique<ChipScanOracle>(*chip);
     std::printf("oracle: OraP chip scan interface (pulse generators "
                 "active)\n");
@@ -506,17 +439,17 @@ int cmd_attack(const Args& a) {
   Oracle* oracle_ptr = remote_holder
                            ? static_cast<Oracle*>(remote_holder.get())
                            : oracle_holder.get();
-  const double noise = a.get_rate("oracle-noise", 0.0);
+  const double noise = a.rate("oracle-noise", 0.0);
   if (noise > 0.0) {
     noisy_holder = std::make_unique<NoisyOracle>(*oracle_ptr, noise,
-                                                 a.get_num("fault-seed", 7));
+                                                 a.count("fault-seed", 7));
     oracle_ptr = noisy_holder.get();
     std::printf("oracle fault model: %.4f bit-flip rate\n", noise);
   }
-  const double fail = a.get_rate("oracle-fail-rate", 0.0);
+  const double fail = a.rate("oracle-fail-rate", 0.0);
   if (fail > 0.0) {
     flaky_holder = std::make_unique<IntermittentOracle>(
-        *oracle_ptr, fail, a.get_num("fault-seed", 7) + 1);
+        *oracle_ptr, fail, a.count("fault-seed", 7) + 1);
     oracle_ptr = flaky_holder.get();
     std::printf("oracle fault model: %.4f transient-failure rate\n", fail);
   }
@@ -525,7 +458,7 @@ int cmd_attack(const Args& a) {
   // queries; a rerun with the same flags resumes byte-identically.
   std::unique_ptr<CheckpointedOracle> ckpt_holder;
   if (a.has("checkpoint")) {
-    const std::string ckpt_path = a.get("checkpoint", "");
+    const std::string ckpt_path = a.text("checkpoint", "");
     ckpt_holder = std::make_unique<CheckpointedOracle>(
         *oracle_ptr, cli_checkpoint_hash(a, lc));
     const auto ls = ckpt_holder->load_file(ckpt_path);
@@ -539,27 +472,26 @@ int cmd_attack(const Args& a) {
           " belongs to a different attack configuration");
     }
     ckpt_holder->enable_autosave(ckpt_path,
-                                 a.get_num("checkpoint-every", 64));
+                                 a.count("checkpoint-every", 64));
     oracle_ptr = ckpt_holder.get();
   }
   Oracle& oracle = *oracle_ptr;
-  const std::string kind = a.get("kind", "sat");
+  const std::string kind = a.text("kind", "sat");
   BitVec recovered;
   if (kind == "sat" || kind == "appsat" || kind == "doubledip") {
     SatAttackOptions opts;
     opts.max_iterations =
-        static_cast<std::int64_t>(a.get_num("max-iter", 4096));
+        static_cast<std::int64_t>(a.count("max-iter", 4096));
     opts.conflict_budget =
-        a.has("budget") ? static_cast<std::int64_t>(a.get_num("budget", 0))
+        a.has("budget") ? static_cast<std::int64_t>(a.count("budget", 0))
                         : -1;
-    opts.preprocess = a.get_num("preprocess", 0) != 0;
     if (a.has("deadline-ms"))
-      opts.deadline_ms = static_cast<std::int64_t>(a.get_num("deadline-ms", 0));
-    opts.resilience.retries = a.get_num("oracle-retries", 0);
-    opts.resilience.votes = a.get_num("oracle-votes", 1);
-    opts.resilience.quarantine = a.get_num("quarantine", 0) != 0;
-    opts.oracle_batch = a.get_num("oracle-batch", 0) != 0;
-    opts.dip_batch = a.get_num("dip-batch", 1);
+      opts.deadline_ms = static_cast<std::int64_t>(a.count("deadline-ms", 0));
+    opts.resilience.retries = a.count("oracle-retries", 0);
+    opts.resilience.votes = a.count("oracle-votes", 1);
+    opts.resilience.quarantine = a.on("quarantine");
+    opts.oracle_batch = a.on("oracle-batch");
+    opts.dip_batch = a.count("dip-batch", 1);
     SatAttackResult r;
     if (kind == "sat")
       r = sat_attack(lc, oracle, opts);
@@ -567,8 +499,8 @@ int cmd_attack(const Args& a) {
       r = double_dip_attack(lc, oracle, opts);
     else {
       AppSatOptions app_opts;
+      if (a.has("max-iter")) app_opts.max_iterations = opts.max_iterations;
       app_opts.conflict_budget = opts.conflict_budget;
-      app_opts.preprocess = opts.preprocess;
       app_opts.deadline_ms = opts.deadline_ms;
       app_opts.oracle_batch = opts.oracle_batch;
       app_opts.resilience = opts.resilience;
@@ -576,7 +508,7 @@ int cmd_attack(const Args& a) {
     }
     if (ckpt_holder) {
       ckpt_holder->set_progress_dips(r.iterations);
-      const std::string ckpt_path = a.get("checkpoint", "");
+      const std::string ckpt_path = a.text("checkpoint", "");
       if (ckpt_holder->save_file(ckpt_path))
         std::printf("checkpoint: %zu oracle queries recorded to %s\n",
                     ckpt_holder->transcript_size(), ckpt_path.c_str());
@@ -612,16 +544,9 @@ int cmd_attack(const Args& a) {
                   r.requeried_pairs);
     if (r.status == SatAttackResult::Status::kDegraded)
       std::printf("measured oracle error rate: %.4f\n", r.oracle_error_rate);
-    if (opts.preprocess)
-      std::printf("preprocess: %llu of %zu vars eliminated, %llu clauses "
-                  "removed (%.1f ms)\n",
-                  static_cast<unsigned long long>(r.eliminated_vars),
-                  r.solver_vars,
-                  static_cast<unsigned long long>(r.removed_clauses),
-                  r.simplify_ms);
-    std::printf("incremental: %llu solver rounds, %llu learnts carried, "
+    std::printf("solver: %llu solve calls, %llu learnts carried, "
                 "%llu cone gates folded away\n",
-                static_cast<unsigned long long>(r.incremental_rounds),
+                static_cast<unsigned long long>(r.solve_calls),
                 static_cast<unsigned long long>(r.clauses_carried),
                 static_cast<unsigned long long>(r.encode_reused));
     if (r.status != SatAttackResult::Status::kKeyFound &&
@@ -662,23 +587,23 @@ int cmd_oracle_serve(const Args& a) {
         "(--stdio speaks the wire protocol on stdin/stdout for "
         "`orap attack --oracle-cmd`; --port listens on 127.0.0.1, 0 picks "
         "an ephemeral port)");
-  const bool stdio = a.has("stdio");
+  const bool stdio = a.on("stdio");
   // SIGTERM/SIGINT drain: finish the frame in flight, fall out of the
   // serve loop, print the tallies — never die mid-frame.
   install_stop_handlers();
-  const LockedCircuit lc = load_locked(a.positional[0], a.get("key", ""));
+  const LockedCircuit lc = load_locked(a.positional[0], a.text("key", ""));
   // Diagnostics go to stderr: in --stdio mode the protocol owns stdout.
   std::unique_ptr<OrapChip> chip;
   std::unique_ptr<Oracle> base;
-  if (a.get("oracle", "golden") == "orap") {
-    LockedCircuit chip_lc = load_locked(a.positional[0], a.get("key", ""));
+  if (a.text("oracle", "golden") == "orap") {
+    LockedCircuit chip_lc = load_locked(a.positional[0], a.text("key", ""));
     const std::size_t pis =
-        a.get_num("pis", std::min<std::size_t>(chip_lc.num_data_inputs - 1,
+        a.count("pis", std::min<std::size_t>(chip_lc.num_data_inputs - 1,
                                                8));
     OrapOptions copt;
     copt.variant = OrapVariant::kModified;
     chip = std::make_unique<OrapChip>(std::move(chip_lc), pis, copt,
-                                      a.get_num("seed", 1));
+                                      a.count("seed", 1));
     base = std::make_unique<ChipScanOracle>(*chip);
     std::fprintf(stderr, "serving: OraP chip scan oracle\n");
   } else {
@@ -690,30 +615,30 @@ int cmd_oracle_serve(const Args& a) {
   // itself (that is what makes batching pay), not per device access.
   std::vector<std::unique_ptr<Oracle>> layers;
   Oracle* top = base.get();
-  const std::uint64_t fault_seed = a.get_num("fault-seed", 7);
-  if (const double p = a.get_rate("oracle-noise", 0.0); p > 0.0) {
+  const std::uint64_t fault_seed = a.count("fault-seed", 7);
+  if (const double p = a.rate("oracle-noise", 0.0); p > 0.0) {
     layers.push_back(std::make_unique<NoisyOracle>(*top, p, fault_seed));
     top = layers.back().get();
   }
-  if (const double p = a.get_rate("oracle-stick-rate", 0.0); p > 0.0) {
+  if (const double p = a.rate("oracle-stick-rate", 0.0); p > 0.0) {
     layers.push_back(
         std::make_unique<StuckOracle>(*top, p, fault_seed + 1));
     top = layers.back().get();
   }
-  if (const double p = a.get_rate("oracle-fail-rate", 0.0); p > 0.0) {
+  if (const double p = a.rate("oracle-fail-rate", 0.0); p > 0.0) {
     layers.push_back(
         std::make_unique<IntermittentOracle>(*top, p, fault_seed + 2));
     top = layers.back().get();
   }
-  if (const std::size_t cap = a.get_num("oracle-max-queries", 0); cap > 0) {
+  if (const std::size_t cap = a.count("oracle-max-queries", 0); cap > 0) {
     layers.push_back(std::make_unique<BudgetedOracle>(*top, cap));
     top = layers.back().get();
   }
 
   serve::OracleServerOptions sopts;
-  sopts.latency_us = a.get_num("latency-us", 0);
-  sopts.jitter_us = a.get_num("jitter-us", 0);
-  sopts.jitter_seed = a.get_num("fault-seed", 7) + 3;
+  sopts.latency_us = a.count("latency-us", 0);
+  sopts.jitter_us = a.count("jitter-us", 0);
+  sopts.jitter_seed = a.count("fault-seed", 7) + 3;
   sopts.stop = &g_stop;
   serve::OracleServer server(*top, sopts);
 
@@ -730,15 +655,15 @@ int cmd_oracle_serve(const Args& a) {
   }
   serve::TcpListener listener;
   if (!listener.listen(
-          static_cast<std::uint16_t>(a.get_num("port", 0))))
-    die("cannot listen on 127.0.0.1:" + a.get("port", "0"));
+          static_cast<std::uint16_t>(a.count("port", 0))))
+    die("cannot listen on 127.0.0.1:" + std::to_string(a.count("port", 0)));
   // Scripts parse this line for the ephemeral port.
   std::printf("listening on 127.0.0.1:%u\n", listener.port());
   std::fflush(stdout);
-  const bool once = a.has("once");
+  const bool once = a.on("once");
   const int io_timeout =
       a.has("io-timeout-ms")
-          ? static_cast<int>(a.get_num("io-timeout-ms", 0))
+          ? static_cast<int>(a.count("io-timeout-ms", 0))
           : -1;
   // Poll-accept so the stop flag is observed between connections too, not
   // only when a client is mid-conversation.
@@ -759,7 +684,7 @@ int cmd_oracle_serve(const Args& a) {
 }
 
 int cmd_attack_serve(const Args& a) {
-  const std::size_t num_jobs = a.get_num("jobs", 4);
+  const std::size_t num_jobs = a.count("jobs", 4);
   if (num_jobs == 0) die("usage: orap attack-serve --jobs N [--kind sat|"
                          "appsat|doubledip] [--scheme weighted|xor] "
                          "[--gates N --inputs N --outputs N --depth D] "
@@ -774,21 +699,21 @@ int cmd_attack_serve(const Args& a) {
                          "       [--job-retries N] "
                          "[--job-retry-backoff-ms B]");
   GenSpec spec;
-  spec.num_inputs = a.get_num("inputs", 20);
-  spec.num_outputs = a.get_num("outputs", 16);
-  spec.num_gates = a.get_num("gates", 300);
-  spec.depth = static_cast<std::uint32_t>(a.get_num("depth", 8));
-  const std::size_t key_bits = a.get_num("key-bits", 14);
-  const std::uint64_t seed = a.get_num("seed", 1);
-  const std::string kind_s = a.get("kind", "sat");
-  const std::string scheme = a.get("scheme", "weighted");
+  spec.num_inputs = a.count("inputs", 20);
+  spec.num_outputs = a.count("outputs", 16);
+  spec.num_gates = a.count("gates", 300);
+  spec.depth = static_cast<std::uint32_t>(a.count("depth", 8));
+  const std::size_t key_bits = a.count("key-bits", 14);
+  const std::uint64_t seed = a.count("seed", 1);
+  const std::string kind_s = a.text("kind", "sat");
+  const std::string scheme = a.text("scheme", "weighted");
 
   // Jobs are regenerated deterministically from --seed: run K of the same
   // command line resumes exactly the jobs run K-1 checkpointed.
   // --shared-circuit points every job at the same chip (the scenario a
   // shared --result-cache is for: queries one job paid for are served to
   // the others from the cache).
-  const bool shared_circuit = a.get_num("shared-circuit", 0) != 0;
+  const bool shared_circuit = a.on("shared-circuit");
   const std::size_t num_circuits = shared_circuit ? 1 : num_jobs;
   std::vector<LockedCircuit> circuits;
   circuits.reserve(num_circuits);
@@ -810,29 +735,30 @@ int cmd_attack_serve(const Args& a) {
                    : kind_s == "doubledip" ? serve::AttackJob::Kind::kDoubleDip
                                            : serve::AttackJob::Kind::kSat;
     job.sat.max_iterations =
-        static_cast<std::int64_t>(a.get_num("max-iter", 4096));
-    job.sat.resilience.retries = a.get_num("oracle-retries", 0);
-    job.sat.resilience.votes = a.get_num("oracle-votes", 1);
-    job.sat.resilience.quarantine = a.get_num("quarantine", 0) != 0;
-    job.sat.oracle_batch = a.get_num("oracle-batch", 0) != 0;
-    job.sat.dip_batch = a.get_num("dip-batch", 1);
+        static_cast<std::int64_t>(a.count("max-iter", 4096));
+    job.sat.resilience.retries = a.count("oracle-retries", 0);
+    job.sat.resilience.votes = a.count("oracle-votes", 1);
+    job.sat.resilience.quarantine = a.on("quarantine");
+    job.sat.oracle_batch = a.on("oracle-batch");
+    job.sat.dip_batch = a.count("dip-batch", 1);
+    if (a.has("max-iter")) job.appsat.max_iterations = job.sat.max_iterations;
     job.appsat.resilience = job.sat.resilience;
     job.appsat.oracle_batch = job.sat.oracle_batch;
-    job.oracle.noise_rate = a.get_rate("oracle-noise", 0.0);
-    job.oracle.noise_seed = a.get_num("fault-seed", 7) + i;
-    job.oracle.drop_rate = a.get_rate("oracle-fail-rate", 0.0);
-    job.oracle.drop_seed = a.get_num("fault-seed", 7) + 100 + i;
-    job.oracle.latency_us = a.get_num("latency-us", 0);
+    job.oracle.noise_rate = a.rate("oracle-noise", 0.0);
+    job.oracle.noise_seed = a.count("fault-seed", 7) + i;
+    job.oracle.drop_rate = a.rate("oracle-fail-rate", 0.0);
+    job.oracle.drop_seed = a.count("fault-seed", 7) + 100 + i;
+    job.oracle.latency_us = a.count("latency-us", 0);
   }
 
   serve::JobServerOptions jopts;
-  jopts.checkpoint_dir = a.get("checkpoint-dir", "");
-  jopts.checkpoint_every = a.get_num("checkpoint-every", 64);
-  jopts.result_cache = a.get_num("result-cache", 0) != 0;
+  jopts.checkpoint_dir = a.text("checkpoint-dir", "");
+  jopts.checkpoint_every = a.count("checkpoint-every", 64);
+  jopts.result_cache = a.on("result-cache");
   // Supervision: contain + retry per-job failures, and drain every job
   // (checkpoints flushed) on SIGTERM/SIGINT instead of dying mid-write.
-  jopts.max_job_retries = a.get_num("job-retries", 0);
-  jopts.retry_backoff_ms = a.get_num("job-retry-backoff-ms", 50);
+  jopts.max_job_retries = a.count("job-retries", 0);
+  jopts.retry_backoff_ms = a.count("job-retry-backoff-ms", 50);
   install_stop_handlers();
   jopts.stop = &g_stop;
   if (!jopts.checkpoint_dir.empty()) {
@@ -900,7 +826,7 @@ int cmd_attack_serve(const Args& a) {
                 cache_hits, cache_misses, server.caches().num_chips());
 
   if (a.has("json")) {
-    const std::string path = a.get("json", "");
+    const std::string path = a.text("json", "");
     std::ofstream os(path);
     if (!os.good()) die("cannot write " + path);
     // The "jobs" object holds only run-to-run deterministic fields, so CI
@@ -958,22 +884,22 @@ int cmd_protect(const Args& a) {
   if (a.positional.empty() || !a.has("key"))
     die("usage: orap protect <locked.bench> --key key.txt [--pis N] "
         "[--variant basic|modified] [--response-cycles N]");
-  LockedCircuit lc = load_locked(a.positional[0], a.get("key", ""));
+  LockedCircuit lc = load_locked(a.positional[0], a.text("key", ""));
   // Default PI split: enough state FFs to be interesting, but the comb
   // core must keep at least one real PO beyond the next-state outputs.
   const std::size_t min_pis =
       lc.num_data_inputs > lc.netlist.num_outputs()
           ? lc.num_data_inputs - lc.netlist.num_outputs() + 1
           : 1;
-  const std::size_t pis = a.get_num(
+  const std::size_t pis = a.count(
       "pis", std::min(lc.num_data_inputs - 1,
                       std::max<std::size_t>(8, min_pis)));
   OrapOptions opt;
-  opt.variant = a.get("variant", "modified") == "basic"
+  opt.variant = a.text("variant", "modified") == "basic"
                     ? OrapVariant::kBasic
                     : OrapVariant::kModified;
-  opt.response_cycles = a.get_num("response-cycles", 16);
-  OrapChip chip(std::move(lc), pis, opt, a.get_num("seed", 1));
+  opt.response_cycles = a.count("response-cycles", 16);
+  OrapChip chip(std::move(lc), pis, opt, a.count("seed", 1));
   std::printf("OraP chip built (%s scheme)\n",
               opt.variant == OrapVariant::kBasic ? "basic" : "modified");
   std::printf("  key register (LFSR):  %zu bits\n", chip.lfsr_size());
@@ -1001,10 +927,10 @@ int cmd_protect(const Args& a) {
       {TrojanKind::kReplayResponses, "(e') record+replay responses"},
   };
   for (const auto& sc : scenarios) {
-    LockedCircuit lc2 = load_locked(a.positional[0], a.get("key", ""));
+    LockedCircuit lc2 = load_locked(a.positional[0], a.text("key", ""));
     OrapOptions o2 = opt;
     o2.trojan = sc.kind;
-    OrapChip probe(std::move(lc2), pis, o2, a.get_num("seed", 1));
+    OrapChip probe(std::move(lc2), pis, o2, a.count("seed", 1));
     std::printf("  %-30s %8.1f GE\n", sc.name,
                 probe.trojan_cost().gate_equivalents);
   }
@@ -1013,8 +939,7 @@ int cmd_protect(const Args& a) {
 
 int cmd_solve(const Args& a) {
   if (a.positional.empty())
-    die("usage: orap solve <file.cnf> [--budget N] [--preprocess] "
-        "[--deadline-ms T]");
+    die("usage: orap solve <file.cnf> [--budget N] [--deadline-ms T]");
   std::ifstream is(a.positional[0]);
   if (!is.good()) die("cannot read " + a.positional[0]);
   const sat::Cnf cnf = sat::read_dimacs(is);
@@ -1023,18 +948,12 @@ int cmd_solve(const Args& a) {
     std::puts("s UNSATISFIABLE");
     return 20;
   }
-  // No variable is ever constrained after load: everything is eliminable,
-  // and the model is reconstructed over eliminated vars before printing.
-  if (a.get_num("preprocess", 0) != 0 && !s.simplify()) {
-    std::puts("s UNSATISFIABLE");
-    return 20;
-  }
   const std::int64_t budget =
-      a.has("budget") ? static_cast<std::int64_t>(a.get_num("budget", 0)) : -1;
+      a.has("budget") ? static_cast<std::int64_t>(a.count("budget", 0)) : -1;
   if (a.has("deadline-ms"))
     s.set_deadline(std::chrono::steady_clock::now() +
                    std::chrono::milliseconds(
-                       static_cast<std::int64_t>(a.get_num("deadline-ms", 0))));
+                       static_cast<std::int64_t>(a.count("deadline-ms", 0))));
   const auto res = s.solve({}, budget);
   if (res == sat::Solver::Result::kUnknown) {
     std::puts("s UNKNOWN");
@@ -1056,7 +975,7 @@ int cmd_solve(const Args& a) {
 int cmd_export(const Args& a) {
   if (a.positional.empty()) die("usage: orap export <in.bench> [-o out.v]");
   const Netlist n = read_bench_file(a.positional[0]);
-  const std::string out = a.get("o", "out.v");
+  const std::string out = a.text("o", "out.v");
   write_file(out, write_verilog_string(n));
   std::printf("wrote %s\n", out.c_str());
   return 0;
@@ -1076,10 +995,10 @@ void usage() {
       "  orap resynth <in.bench> [-o out.bench]\n"
       "  orap hd      <locked.bench> --key key.txt [--words N] [--keys N]\n"
       "  orap atpg    <in.bench> [--random-words N] [--budget B] "
-      "[--preprocess] [--deadline-ms T]\n"
+      "[--deadline-ms T]\n"
       "  orap attack  <locked.bench> --key key.txt [--kind "
       "sat|appsat|doubledip|hillclimb] [--oracle golden|orap] "
-      "[--budget B] [--preprocess] [--deadline-ms T]\n"
+      "[--max-iter N] [--budget B] [--deadline-ms T]\n"
       "               [--oracle-noise P] [--oracle-fail-rate P] "
       "[--oracle-retries N] [--oracle-votes N] [--quarantine] "
       "[--oracle-batch] [--dip-batch K]\n"
@@ -1101,17 +1020,18 @@ void usage() {
       "[--json out.json] [--job-retries N] [--job-retry-backoff-ms B]\n"
       "  orap protect <locked.bench> --key key.txt [--variant "
       "basic|modified] — build the OraP chip, report costs\n"
-      "  orap solve   <file.cnf> [--budget N] [--preprocess] "
-      "[--deadline-ms T] — standalone DIMACS SAT solver\n"
+      "  orap solve   <file.cnf> [--budget N] [--deadline-ms T] — "
+      "standalone DIMACS SAT solver\n"
       "  orap export  <in.bench> [-o out.v]\n"
       "\n"
       "Global: --threads N sets the parallel pool size (0 = auto; also "
       "settable via ORAP_THREADS). Every subcommand rejects flags it does "
-      "not read\n(exit 2). --preprocess 0|1 runs SatELite-style CNF simplification (variable\n"
-      "elimination + subsumption) before solving. The oracle-guided attacks "
-      "keep one\npersistent miter solver and constant-fold every oracle "
-      "constraint.\nResults are deterministic for a given seed at any thread "
-      "count.\n"
+      "not read,\nand every malformed or out-of-range value, with exit 2. "
+      "A switch (--quarantine,\n--oracle-batch, --stdio, ...) is --x or "
+      "--x=0|1 and never takes the next argument;\nevery other flag takes "
+      "--x=v or --x v. The oracle-guided attacks keep one\npersistent miter "
+      "solver and constant-fold every oracle constraint.\nResults are "
+      "deterministic for a given seed at any thread count.\n"
       "\n"
       "Oracle resilience (attack): --oracle-noise P / --oracle-fail-rate P "
       "inject seeded\nresponse bit-flips / transient failures into the "
@@ -1159,42 +1079,71 @@ void usage() {
       "result.");
 }
 
-/// One subcommand and the flags it reads (space-separated, no dashes).
+/// One subcommand: how many positional arguments it takes and the typed
+/// table of the flags it reads. main() adds the global --threads.
 struct Command {
   const char* name;
   int (*run)(const Args&);
-  const char* flags;
+  std::size_t positionals;
+  std::vector<flags::Flag> flags;
 };
 
-constexpr Command kCommands[] = {
-    {"gen", cmd_gen, "profile scale seed inputs outputs gates depth name o"},
-    {"stats", cmd_stats, ""},
-    {"lock", cmd_lock,
-     "scheme key-bits seed ctrl hd-h keys-per-gate o key-out verilog"},
-    {"resynth", cmd_resynth, "o"},
-    {"hd", cmd_hd, "key words keys seed"},
-    {"atpg", cmd_atpg, "random-words budget seed preprocess deadline-ms"},
-    {"attack", cmd_attack,
-     "key kind oracle pis seed max-iter budget preprocess deadline-ms "
-     "oracle-noise oracle-fail-rate fault-seed oracle-retries oracle-votes "
-     "quarantine oracle-batch dip-batch connect oracle-cmd io-timeout-ms "
-     "connect-timeout-ms checkpoint checkpoint-every reconnect "
-     "reconnect-attempts reconnect-backoff-ms reconnect-backoff-max-ms "
-     "reconnect-state-every chaos-disconnect-rate chaos-corrupt-rate "
-     "chaos-truncate-rate chaos-delay-rate chaos-delay-us chaos-seed"},
-    {"oracle-serve", cmd_oracle_serve,
-     "key oracle pis seed port stdio once io-timeout-ms latency-us jitter-us "
-     "fault-seed oracle-noise oracle-fail-rate oracle-stick-rate "
-     "oracle-max-queries"},
-    {"attack-serve", cmd_attack_serve,
-     "jobs kind scheme key-bits seed inputs outputs gates depth max-iter "
-     "shared-circuit oracle-retries oracle-votes quarantine oracle-batch "
-     "dip-batch oracle-noise oracle-fail-rate fault-seed latency-us "
-     "checkpoint-dir checkpoint-every result-cache job-retries "
-     "job-retry-backoff-ms json"},
-    {"protect", cmd_protect, "key pis variant response-cycles seed"},
-    {"solve", cmd_solve, "budget preprocess deadline-ms"},
-    {"export", cmd_export, "o"},
+using flags::count;
+using flags::on_off;
+using flags::rate;
+using flags::text;
+
+const Command kCommands[] = {
+    {"gen", cmd_gen, 0,
+     {text("profile"), rate("scale", 0.0, 1.0, /*lo_open=*/true),
+      count("seed"), count("inputs"), count("outputs"), count("gates"),
+      count("depth"), text("name"), text("o")}},
+    {"stats", cmd_stats, 1, {}},
+    {"lock", cmd_lock, 1,
+     {text("scheme"), count("key-bits"), count("seed"), count("ctrl"),
+      count("hd-h"), count("keys-per-gate"), text("o"), text("key-out"),
+      text("verilog")}},
+    {"resynth", cmd_resynth, 1, {text("o")}},
+    {"hd", cmd_hd, 1,
+     {text("key"), count("words"), count("keys"), count("seed")}},
+    {"atpg", cmd_atpg, 1,
+     {count("random-words"), count("budget"), count("seed"),
+      count("deadline-ms")}},
+    {"attack", cmd_attack, 1,
+     {text("key"), text("kind"), text("oracle"), count("pis"), count("seed"),
+      count("max-iter"), count("budget"), count("deadline-ms"),
+      rate("oracle-noise"), rate("oracle-fail-rate"), count("fault-seed"),
+      count("oracle-retries"), count("oracle-votes"), on_off("quarantine"),
+      on_off("oracle-batch"), count("dip-batch"), text("connect"),
+      text("oracle-cmd"), count("io-timeout-ms"),
+      count("connect-timeout-ms"), text("checkpoint"),
+      count("checkpoint-every"), count("reconnect"),
+      count("reconnect-attempts"), count("reconnect-backoff-ms"),
+      count("reconnect-backoff-max-ms"), count("reconnect-state-every"),
+      rate("chaos-disconnect-rate"), rate("chaos-corrupt-rate"),
+      rate("chaos-truncate-rate"), rate("chaos-delay-rate"),
+      count("chaos-delay-us"), count("chaos-seed")}},
+    {"oracle-serve", cmd_oracle_serve, 1,
+     {text("key"), text("oracle"), count("pis"), count("seed"),
+      count("port", 0, 65535), on_off("stdio"), on_off("once"),
+      count("io-timeout-ms"), count("latency-us"), count("jitter-us"),
+      count("fault-seed"), rate("oracle-noise"), rate("oracle-fail-rate"),
+      rate("oracle-stick-rate"), count("oracle-max-queries")}},
+    {"attack-serve", cmd_attack_serve, 0,
+     {count("jobs"), text("kind"), text("scheme"), count("key-bits"),
+      count("seed"), count("inputs"), count("outputs"), count("gates"),
+      count("depth"), count("max-iter"), on_off("shared-circuit"),
+      count("oracle-retries"), count("oracle-votes"), on_off("quarantine"),
+      on_off("oracle-batch"), count("dip-batch"), rate("oracle-noise"),
+      rate("oracle-fail-rate"), count("fault-seed"), count("latency-us"),
+      text("checkpoint-dir"), count("checkpoint-every"),
+      on_off("result-cache"), count("job-retries"),
+      count("job-retry-backoff-ms"), text("json")}},
+    {"protect", cmd_protect, 1,
+     {text("key"), text("variant"), count("response-cycles"), count("pis"),
+      count("seed")}},
+    {"solve", cmd_solve, 1, {count("budget"), count("deadline-ms")}},
+    {"export", cmd_export, 1, {text("o")}},
 };
 
 }  // namespace
@@ -1208,12 +1157,20 @@ int main(int argc, char** argv) {
     usage();
     return 1;
   }
-  const Args args = Args::parse(argc, argv, 2, cmd, command->flags);
+  // Global: --threads=N caps the work-stealing pool (0 = auto, which is
+  // also the ORAP_THREADS env var's job); results are thread-count
+  // independent by construction.
+  std::vector<flags::Flag> table = command->flags;
+  table.push_back(count("threads", 0, 1024));
+  Args args;
+  std::string error;
+  if (!flags::parse(table, argc, argv, 2, true, &args, &error))
+    usage_error(cmd + ": " + error);
+  if (args.positional.size() > command->positionals)
+    usage_error(cmd + ": unexpected argument '" +
+                args.positional[command->positionals] + "'");
   try {
-    // Global: --threads=N caps the work-stealing pool (0 = auto, which is
-    // also the ORAP_THREADS env var's job); results are thread-count
-    // independent by construction.
-    if (args.has("threads")) set_parallel_threads(args.get_num("threads", 0));
+    if (args.has("threads")) set_parallel_threads(args.count("threads", 0));
     return command->run(args);
   } catch (const CheckError& e) {
     die(e.what());
