@@ -360,5 +360,40 @@ TEST_P(AttackSweep, SatAttackAlwaysBeatsGoldenNeverBeatsOrap) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, AttackSweep, ::testing::Range(0, 6));
 
+
+// The SAT attack recovers a functionally correct key across schemes, and two
+// runs on the same miter agree on the key and the formula size.
+class AttackPreprocessFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(AttackPreprocessFuzz, RecoveredKeyFunctionallyIdentical) {
+  GenSpec spec;
+  spec.num_inputs = 10;
+  spec.num_outputs = 8;
+  spec.num_gates = 90;
+  spec.depth = 6;
+  spec.seed = 900 + static_cast<std::uint64_t>(GetParam());
+  const Netlist n = generate_circuit(spec);
+  const LockedCircuit lc = GetParam() % 2 == 0
+                               ? lock_random_xor(n, 6, 17)
+                               : lock_weighted(n, 6, 2, 18);
+  SatAttackResult results[2];
+  for (int run = 0; run < 2; ++run) {
+    GoldenOracle oracle(lc);
+    results[run] = sat_attack(lc, oracle);
+  }
+  ASSERT_EQ(results[0].status, SatAttackResult::Status::kKeyFound);
+  ASSERT_EQ(results[1].status, SatAttackResult::Status::kKeyFound);
+  for (int run = 0; run < 2; ++run) {
+    GoldenOracle check(lc);
+    EXPECT_EQ(verify_key_against_oracle(lc, results[run].key, check, 64, 5),
+              0u)
+        << "run " << run;
+  }
+  EXPECT_EQ(results[1].key, results[0].key);
+  EXPECT_EQ(results[1].solver_vars, results[0].solver_vars);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, AttackPreprocessFuzz, ::testing::Range(0, 6));
+
 }  // namespace
 }  // namespace orap

@@ -470,5 +470,58 @@ TEST(Solver, ReduceDbUnderLoadWithAssumptions) {
   for (const Lit l : s.unsat_core()) EXPECT_NE(l.var(), sel);
 }
 
+
+// --- circuit-level fuzz ----------------------------------------------------
+// These suites once A/B'd the CNF simplifier; they now check the encoder and
+// solver path every attack uses.
+
+class CircuitSimplifyFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(CircuitSimplifyFuzz, SimplifiedCircuitMatchesSimulator) {
+  GenSpec spec;
+  spec.num_inputs = 8;
+  spec.num_outputs = 6;
+  spec.num_gates = 60;
+  spec.depth = 6;
+  spec.seed = 600 + static_cast<std::uint64_t>(GetParam());
+  const Netlist n = generate_circuit(spec);
+  Simulator sim(n);
+
+  Solver s;
+  Encoder e(s);
+  const auto cone = e.encode(n);
+
+  Rng rng(70 + GetParam());
+  for (int round = 0; round < 8; ++round) {
+    const BitVec p = BitVec::random(spec.num_inputs, rng);
+    const BitVec expect = sim.run_single(p);
+    std::vector<Lit> assume;
+    for (std::size_t i = 0; i < cone.inputs.size(); ++i)
+      assume.push_back(Lit(cone.inputs[i], !p.get(i)));
+    ASSERT_EQ(s.solve(assume), Solver::Result::kSat);
+    for (std::size_t o = 0; o < cone.outputs.size(); ++o)
+      EXPECT_EQ(s.model_value(cone.outputs[o]), expect.get(o))
+          << "output " << o << " round " << round;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, CircuitSimplifyFuzz, ::testing::Range(0, 6));
+
+TEST(CircuitSimplify, SelfEquivalenceMiterStaysUnsat) {
+  GenSpec spec;
+  spec.num_inputs = 8;
+  spec.num_outputs = 6;
+  spec.num_gates = 80;
+  spec.depth = 6;
+  spec.seed = 123;
+  const Netlist n = generate_circuit(spec);
+  Solver s;
+  Encoder e(s);
+  const auto a = e.encode(n);
+  const auto b = e.encode(n, a.inputs);
+  e.force_not_equal(a.outputs, b.outputs);
+  EXPECT_EQ(s.solve(), Solver::Result::kUnsat);
+}
+
 }  // namespace
 }  // namespace orap::sat
