@@ -39,7 +39,9 @@ Netlist attack_target(std::size_t gates, std::uint64_t seed) {
 
 std::string status_str(const SatAttackResult& r, const BitVec& correct,
                        const LockedCircuit& lc) {
-  if (r.status != SatAttackResult::Status::kKeyFound) return "no key";
+  if (r.status != SatAttackResult::Status::kKeyFound &&
+      r.status != SatAttackResult::Status::kApproximateKey)
+    return "no key";
   // Functional check via random samples.
   GoldenOracle golden(lc);
   const std::size_t miss = verify_key_against_oracle(lc, r.key, golden, 128, 3);

@@ -23,18 +23,6 @@ using namespace orap;
 
 namespace {
 
-const char* status_str(SatAttackResult::Status s) {
-  switch (s) {
-    case SatAttackResult::Status::kKeyFound: return "key_found";
-    case SatAttackResult::Status::kIterationLimit: return "iteration_limit";
-    case SatAttackResult::Status::kSolverBudget: return "solver_budget";
-    case SatAttackResult::Status::kInconsistentOracle: return "inconsistent";
-    case SatAttackResult::Status::kDegraded: return "degraded";
-    case SatAttackResult::Status::kOracleError: return "oracle_error";
-  }
-  return "?";
-}
-
 std::string key_str(const BitVec& key) {
   std::string s;
   for (std::size_t i = 0; i < key.size(); ++i) s += key.get(i) ? '1' : '0';
@@ -119,7 +107,7 @@ int main(int argc, char** argv) {
       const std::string tag =
           "k" + std::to_string(k) + "_" + kSchemes[s] + "_";
       report.add(tag + "dips", r.iterations);
-      report.add_string(tag + "status", status_str(r.status));
+      report.add_string(tag + "status", status_slug(r.status));
       report.add_string(tag + "key", key_str(r.key));
       report.add(tag + "vars", r.solver_vars);
     }

@@ -48,18 +48,6 @@ struct Cell {
   bool quarantine;
 };
 
-const char* status_str(SatAttackResult::Status s) {
-  switch (s) {
-    case SatAttackResult::Status::kKeyFound: return "key found";
-    case SatAttackResult::Status::kIterationLimit: return "iter limit";
-    case SatAttackResult::Status::kSolverBudget: return "solver budget";
-    case SatAttackResult::Status::kInconsistentOracle: return "inconsistent";
-    case SatAttackResult::Status::kDegraded: return "degraded";
-    case SatAttackResult::Status::kOracleError: return "oracle error";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -102,15 +90,14 @@ int main(int argc, char** argv) {
       const SatAttackResult r = sat_attack(lc, oracle, opts);
 
       bool key_ok = false;
-      if (r.status == SatAttackResult::Status::kKeyFound ||
-          r.status == SatAttackResult::Status::kDegraded) {
+      if (r.has_key()) {
         GoldenOracle verify(lc);
         key_ok = verify_key_against_oracle(lc, r.key, verify, 128, 3) == 0;
       }
       char noise_buf[16];
       std::snprintf(noise_buf, sizeof noise_buf, "%.3f", noise);
       t.add_row({noise_buf, std::to_string(p.votes),
-                 p.quarantine ? "on" : "off", status_str(r.status),
+                 p.quarantine ? "on" : "off", status_slug(r.status),
                  key_ok ? "YES" : "no", std::to_string(r.iterations),
                  std::to_string(r.oracle_queries),
                  std::to_string(r.evicted_pairs),
@@ -119,7 +106,7 @@ int main(int argc, char** argv) {
       const std::string tag = std::string("n") + noise_buf + "_v" +
                               std::to_string(p.votes) +
                               (p.quarantine ? "_q1" : "_q0");
-      report.add_string(tag + "_status", status_str(r.status));
+      report.add_string(tag + "_status", status_slug(r.status));
       report.add(tag + "_key_ok", static_cast<std::size_t>(key_ok ? 1 : 0));
       report.add(tag + "_dips", r.iterations);
       report.add(tag + "_queries", r.oracle_queries);

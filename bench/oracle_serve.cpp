@@ -26,6 +26,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -118,8 +119,7 @@ struct AttackRun {
 };
 
 AttackRun run_served_attack(const LockedCircuit& lc, std::uint64_t lat_us,
-                            std::size_t votes, bool batch,
-                            std::size_t dip_batch) {
+                            std::size_t votes, std::size_t dip_batch) {
   GoldenOracle oracle(lc);
   serve::OracleServerOptions sopts;
   sopts.latency_us = lat_us;
@@ -132,7 +132,6 @@ AttackRun run_served_attack(const LockedCircuit& lc, std::uint64_t lat_us,
   ORAP_CHECK_MSG(remote != nullptr, "remote oracle handshake failed");
   SatAttackOptions opts;
   opts.resilience.votes = votes;
-  opts.oracle_batch = batch;
   opts.dip_batch = dip_batch;
   AttackRun run;
   const auto t0 = std::chrono::steady_clock::now();
@@ -143,19 +142,6 @@ AttackRun run_served_attack(const LockedCircuit& lc, std::uint64_t lat_us,
   ORAP_CHECK(remote->shutdown());
   st.join();
   return run;
-}
-
-const char* status_slug(SatAttackResult::Status s) {
-  switch (s) {
-    case SatAttackResult::Status::kKeyFound: return "key_found";
-    case SatAttackResult::Status::kIterationLimit: return "iteration_limit";
-    case SatAttackResult::Status::kSolverBudget: return "solver_budget";
-    case SatAttackResult::Status::kInconsistentOracle:
-      return "inconsistent_oracle";
-    case SatAttackResult::Status::kDegraded: return "degraded";
-    case SatAttackResult::Status::kOracleError: return "oracle_error";
-  }
-  return "?";
 }
 
 }  // namespace
@@ -226,9 +212,9 @@ int main(int argc, char** argv) {
   // == Attack-level end-to-end sweep ==
   // The frame table above prices raw protocol traffic; this sweep prices
   // what the ATTACK pays: the full SAT-attack DIP loop against a served
-  // oracle, serial vs batched (--oracle-batch, --dip-batch), across
-  // injected link latency x majority votes. XOR locking (not weighted) so
-  // the DIP loop runs long enough for round trips to matter.
+  // oracle, one DIP per round (dip-batch 1) vs up to 8 (--dip-batch 8),
+  // across injected link latency x majority votes. XOR locking (not
+  // weighted) so the DIP loop runs long enough for round trips to matter.
   GenSpec aspec;
   aspec.num_inputs = 20;
   aspec.num_outputs = 16;
@@ -241,83 +227,55 @@ int main(int argc, char** argv) {
 
   std::printf("\nAttack-level sweep: SAT attack over the served oracle "
               "(%zu key bits)\n", alc.num_key_inputs);
-  Table at({"Latency", "Votes", "DipBatch", "Serial RT", "Batch RT",
-            "RT ratio", "Serial ms", "Batch ms", "Speedup"});
+  Table at({"Latency", "Votes", "DIPs d1", "DIPs d8", "RT d1", "RT d8",
+            "RT ratio", "d1 ms", "d8 ms", "Speedup"});
   const std::size_t votes_grid[] = {1, 3};
-  const std::size_t dip_grid[] = {1, 8};
   for (const std::uint64_t lat : latencies_us) {
     for (const std::size_t votes : votes_grid) {
-      const AttackRun serial =
-          run_served_attack(alc, lat, votes, /*batch=*/false, 1);
-      ORAP_CHECK_MSG(verify_key_against_oracle(alc, serial.result.key,
-                                               golden_check, 256, 3) == 0,
-                     "serial attack recovered a wrong key");
-      for (const std::size_t dip : dip_grid) {
-        const AttackRun batched =
-            run_served_attack(alc, lat, votes, /*batch=*/true, dip);
-        // Identical status at every grid point; identical key too. At
-        // dip_batch == 1 the whole trajectory is byte-identical to serial
-        // (clean oracle, element-order decorator contract), so iteration
-        // and query counts must also match; dip_batch > 1 is a different
-        // (equally valid) trajectory, and the key must still verify clean.
-        ORAP_CHECK(batched.result.status == serial.result.status);
-        ORAP_CHECK_MSG(verify_key_against_oracle(alc, batched.result.key,
+      const AttackRun one = run_served_attack(alc, lat, votes, 1);
+      const AttackRun eight = run_served_attack(alc, lat, votes, 8);
+      // dip-batch 8 is a different (equally valid) trajectory: the key
+      // must verify clean at both points and the status must agree.
+      for (const AttackRun* run : {&one, &eight})
+        ORAP_CHECK_MSG(verify_key_against_oracle(alc, run->result.key,
                                                  golden_check, 256, 3) == 0,
-                       "batched attack recovered a wrong key");
-        if (dip == 1) {
-          ORAP_CHECK(batched.result.key == serial.result.key);
-          ORAP_CHECK(batched.result.iterations == serial.result.iterations);
-          ORAP_CHECK(batched.result.oracle_queries ==
-                     serial.result.oracle_queries);
-        }
-        const double ratio =
-            batched.result.oracle_round_trips > 0
-                ? static_cast<double>(serial.result.oracle_round_trips) /
-                      static_cast<double>(batched.result.oracle_round_trips)
-                : 0.0;
-        // The acceptance bar: with votes=3 and dip-batch=8 every flush
-        // carries up to 24 oracle queries where the serial loop pays 24
-        // round trips, so >= 5x fewer round trips; at a real (1 ms) link
-        // that shows up as wall time the serial attack pays and the
-        // batched one does not. (dip-batch alone still wins, but the
-        // attack may harvest more DIPs than the serial loop needed, so
-        // only strict improvement is guaranteed there.)
-        if (dip == 8)
-          ORAP_CHECK_MSG(serial.result.oracle_round_trips >
-                             batched.result.oracle_round_trips,
-                         "dip-batch=8 did not reduce round trips");
-        if (dip == 8 && votes == 3)
-          ORAP_CHECK_MSG(serial.result.oracle_round_trips >=
-                             5 * batched.result.oracle_round_trips,
-                         "dip-batch=8 x votes=3 saved fewer than 5x round "
-                         "trips");
-        if (dip == 8 && votes == 3 && lat >= 1000)
-          ORAP_CHECK_MSG(batched.wall_ms < serial.wall_ms,
-                         "batched attack not faster on a 1 ms link");
-        char lat_buf[16], ratio_buf[16], sp_buf[16], sms[24], bms[24];
-        std::snprintf(lat_buf, sizeof lat_buf, "%llu us",
-                      static_cast<unsigned long long>(lat));
-        std::snprintf(ratio_buf, sizeof ratio_buf, "%.1fx", ratio);
-        std::snprintf(sp_buf, sizeof sp_buf, "%.2fx",
-                      batched.wall_ms > 0.0 ? serial.wall_ms / batched.wall_ms
-                                            : 0.0);
-        std::snprintf(sms, sizeof sms, "%.1f", serial.wall_ms);
-        std::snprintf(bms, sizeof bms, "%.1f", batched.wall_ms);
-        at.add_row({lat_buf, std::to_string(votes), std::to_string(dip),
-                    std::to_string(serial.result.oracle_round_trips),
-                    std::to_string(batched.result.oracle_round_trips),
-                    ratio_buf, sms, bms, sp_buf});
+                       "served attack recovered a wrong key");
+      ORAP_CHECK(eight.result.status == one.result.status);
+      // One DIP per round: its vote replicas ride the DIP's own flush, so
+      // the attack pays exactly one round trip per DIP.
+      ORAP_CHECK_MSG(one.result.oracle_round_trips == one.result.iterations,
+                     "dip-batch=1 paid more than one round trip per DIP");
+      ORAP_CHECK_MSG(eight.result.oracle_round_trips <
+                         one.result.oracle_round_trips,
+                     "dip-batch=8 did not reduce round trips");
+      const double ratio =
+          static_cast<double>(one.result.oracle_round_trips) /
+          static_cast<double>(eight.result.oracle_round_trips);
+      char lat_buf[16], ratio_buf[16], sp_buf[16], ms1[24], ms8[24];
+      std::snprintf(lat_buf, sizeof lat_buf, "%llu us",
+                    static_cast<unsigned long long>(lat));
+      std::snprintf(ratio_buf, sizeof ratio_buf, "%.1fx", ratio);
+      std::snprintf(sp_buf, sizeof sp_buf, "%.2fx",
+                    eight.wall_ms > 0.0 ? one.wall_ms / eight.wall_ms : 0.0);
+      std::snprintf(ms1, sizeof ms1, "%.1f", one.wall_ms);
+      std::snprintf(ms8, sizeof ms8, "%.1f", eight.wall_ms);
+      at.add_row({lat_buf, std::to_string(votes),
+                  std::to_string(one.result.iterations),
+                  std::to_string(eight.result.iterations),
+                  std::to_string(one.result.oracle_round_trips),
+                  std::to_string(eight.result.oracle_round_trips), ratio_buf,
+                  ms1, ms8, sp_buf});
 
+      for (const auto& [dip, run] :
+           {std::pair{1, &one}, std::pair{8, &eight}}) {
         const std::string tag = "atk_lat" + std::to_string(lat) + "_v" +
                                 std::to_string(votes) + "_d" +
                                 std::to_string(dip);
-        report.add_string(tag + "_status", status_slug(batched.result.status));
-        report.add(tag + "_serial_rt", serial.result.oracle_round_trips);
-        report.add(tag + "_batch_rt", batched.result.oracle_round_trips);
-        report.add(tag + "_serial_queries", serial.result.oracle_queries);
-        report.add(tag + "_batch_queries", batched.result.oracle_queries);
-        report.add(tag + "_serial_wall_ms", serial.wall_ms, 1);
-        report.add(tag + "_batch_wall_ms", batched.wall_ms, 1);
+        report.add_string(tag + "_status", status_slug(run->result.status));
+        report.add(tag + "_dips", run->result.iterations);
+        report.add(tag + "_rt", run->result.oracle_round_trips);
+        report.add(tag + "_queries", run->result.oracle_queries);
+        report.add(tag + "_wall_ms", run->wall_ms, 1);
       }
     }
   }

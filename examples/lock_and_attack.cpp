@@ -18,20 +18,10 @@ using namespace orap;
 
 namespace {
 
-const char* status_name(SatAttackResult::Status s) {
-  switch (s) {
-    case SatAttackResult::Status::kKeyFound: return "key-found";
-    case SatAttackResult::Status::kIterationLimit: return "iteration-limit";
-    case SatAttackResult::Status::kSolverBudget: return "solver-budget";
-    case SatAttackResult::Status::kInconsistentOracle: return "inconsistent";
-  }
-  return "?";
-}
-
 void report(const char* attack, const char* target,
             const SatAttackResult& r, bool key_correct) {
   std::printf("  %-11s vs %-12s: %-15s iters=%-4zu queries=%-5zu key %s\n",
-              attack, target, status_name(r.status), r.iterations,
+              attack, target, status_slug(r.status), r.iterations,
               r.oracle_queries, key_correct ? "CORRECT" : "wrong/none");
 }
 

@@ -1,8 +1,9 @@
 #include "attacks/sat_attack.h"
 
 #include <algorithm>
-#include <chrono>
 #include <bit>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <span>
 
@@ -15,12 +16,27 @@
 
 namespace orap {
 
+const char* status_slug(SatAttackResult::Status s) {
+  switch (s) {
+    case SatAttackResult::Status::kKeyFound: return "key_found";
+    case SatAttackResult::Status::kIterationLimit: return "iteration_limit";
+    case SatAttackResult::Status::kSolverBudget: return "solver_budget";
+    case SatAttackResult::Status::kInconsistentOracle:
+      return "inconsistent_oracle";
+    case SatAttackResult::Status::kDegraded: return "degraded";
+    case SatAttackResult::Status::kOracleError: return "oracle_error";
+    case SatAttackResult::Status::kApproximateKey: return "approximate_key";
+  }
+  return "?";
+}
+
 namespace {
 
 using sat::Encoder;
 using sat::Lit;
 using sat::Solver;
 using sat::Var;
+using Status = SatAttackResult::Status;
 
 /// One recorded oracle I/O pair. With quarantine on, `sel` guards every
 /// clause the pair contributed, so assuming pos(sel) binds it and a unit
@@ -41,27 +57,17 @@ struct AttackContext {
   std::vector<Var> k1;   // key copy 1
   std::vector<Var> k2;   // key copy 2
   Var act = -1;          // miter activation literal
-  bool oracle_inconsistent = false;
 
   // Resilience state.
   Oracle* oracle = nullptr;
   OracleResilienceOptions res;
   std::vector<std::vector<Var>> key_sets;  // key copies each pair constrains
   std::vector<PairRecord> pairs;           // quarantine-guarded pairs only
-  bool oracle_failed = false;              // a query failed terminally
   std::size_t oracle_retries = 0;
   std::size_t vote_queries = 0;
   std::size_t evicted_pairs = 0;
   std::size_t requeried_pairs = 0;
   double oracle_error_rate = -1.0;
-
-  // Attack-side batching (opts.oracle_batch / opts.dip_batch). With batch
-  // off and dip_batch 1 every path below reduces to the exact serial
-  // trajectory; batching is byte-identical to it as long as no retryable
-  // oracle error fires mid-batch (the retry completion then runs serially
-  // after the flush, a different — still deterministic — order).
-  bool batch = false;
-  std::size_t dip_batch = 1;
 
   // Wall-clock deadline (opts.deadline_ms >= 0).
   bool has_deadline = false;
@@ -74,6 +80,8 @@ struct AttackContext {
         lenc(solver, locked),
         oracle(&orc),
         res(resilience) {
+    ORAP_CHECK(orc.num_inputs() == locked.num_data_inputs);
+    ORAP_CHECK(orc.num_outputs() == locked.netlist.num_outputs());
     if (deadline_ms >= 0) {
       deadline = std::chrono::steady_clock::now() +
                  std::chrono::milliseconds(deadline_ms);
@@ -106,68 +114,19 @@ struct AttackContext {
 
   // --- resilient oracle access --------------------------------------------
 
-  /// One oracle attempt with bounded retry on retryable errors. `logical`
-  /// charges the first attempt to query_count (a fresh logical query);
-  /// retries and vote/re-query attempts go to retry_count, so logical
-  /// query counts stay comparable with resilience off. The backoff is the
-  /// attempt index itself — a deterministic schedule, never a wall-clock
-  /// sleep, preserving bit-reproducibility.
-  bool attempt_with_retries(const BitVec& xd, bool logical, BitVec* y) {
-    OracleResult r = logical ? oracle->query(xd) : oracle->requery(xd);
-    std::size_t attempt = 0;
-    while (!r.ok() && r.error().retryable() && attempt < res.retries) {
-      ++attempt;
-      ++oracle_retries;
-      r = oracle->requery(xd);
-    }
-    if (!r.ok()) {
-      oracle_failed = true;
-      return false;
-    }
-    *y = r.response();
-    return true;
-  }
-
-  /// One logical query under the full policy: retry, then N-of-M majority
-  /// vote per output bit (ties fall back to the first response).
-  bool resilient_query(const BitVec& xd, BitVec* y, bool logical = true) {
-    BitVec first;
-    if (!attempt_with_retries(xd, logical, &first)) return false;
-    const std::size_t votes = res.votes < 1 ? 1 : res.votes;
-    if (votes == 1) {
-      *y = first;
-      return true;
-    }
-    std::vector<std::uint32_t> ones(first.size(), 0);
-    for (std::size_t o = 0; o < first.size(); ++o)
-      if (first.get(o)) ++ones[o];
-    for (std::size_t v = 1; v < votes; ++v) {
-      ++vote_queries;
-      BitVec yv;
-      if (!attempt_with_retries(xd, /*logical=*/false, &yv)) return false;
-      for (std::size_t o = 0; o < yv.size(); ++o)
-        if (yv.get(o)) ++ones[o];
-    }
-    BitVec out(first.size());
-    for (std::size_t o = 0; o < out.size(); ++o) {
-      const std::uint32_t count = ones[o];
-      if (2 * count > votes)
-        out.set(o, true);
-      else if (2 * count == votes)  // even split: keep the first response
-        out.set(o, first.get(o));
-    }
-    *y = out;
-    return true;
-  }
-
-  /// Batched form of resilient_query over independent logical inputs: ALL
-  /// vote replicas of ALL inputs ship as ONE query_batch flush, ordered
-  /// [x0 x votes, x1 x votes, ...] — exactly the serial do_query sequence,
-  /// so responses and per-element accounting are byte-identical to the
-  /// serial path when no retryable error fires. Failed attempts are then
-  /// completed with serial retries per slot. Returns the number of leading
-  /// inputs fully answered (== xds.size() on success); ys holds exactly
-  /// that prefix, and a terminal failure sets oracle_failed.
+  /// Every oracle access of the attacks: each input is asked `votes` times
+  /// (N-of-M majority per output bit, ties falling back to the first
+  /// response) and ALL replicas of ALL inputs ship as ONE query_batch
+  /// flush, ordered [x0 x votes, x1 x votes, ...]. `logical` charges each
+  /// input's first replica to query_count (a fresh logical query); vote
+  /// replicas, and every replica when `logical` is false (a quarantine
+  /// re-query), go to retry_count, so logical query counts stay comparable
+  /// with resilience off. A replica that failed retryably is retried after
+  /// the flush, one requery per attempt, up to res.retries times; the
+  /// schedule is the attempt index itself, never a wall-clock sleep, so
+  /// retried runs stay bit-reproducible. Returns the number of leading
+  /// inputs fully answered (== xds.size() unless a query failed
+  /// terminally); ys holds exactly that prefix.
   std::size_t resilient_query_batch(const std::vector<BitVec>& xds,
                                     std::vector<BitVec>* ys,
                                     bool logical = true) {
@@ -181,52 +140,35 @@ struct AttackContext {
       for (std::size_t v = 0; v < votes; ++v) {
         flat.push_back(xd);
         mask.push_back(v == 0 && logical ? 1 : 0);
-        if (v > 0) ++vote_queries;
       }
     }
+    vote_queries += xds.size() * (votes - 1);
     std::vector<OracleResult> rs;
     oracle->query_batch(flat, &rs, &mask);
     for (std::size_t i = 0; i < xds.size(); ++i) {
       BitVec first;
       std::vector<std::uint32_t> ones;
-      bool have_first = false;
-      bool failed = false;
       for (std::size_t v = 0; v < votes; ++v) {
-        OracleResult r = rs[i * votes + v];
-        std::size_t attempt = 0;
-        while (!r.ok() && r.error().retryable() && attempt < res.retries) {
-          ++attempt;
+        OracleResult r = std::move(rs[i * votes + v]);
+        for (std::size_t attempt = 0;
+             !r.ok() && r.error().retryable() && attempt < res.retries;
+             ++attempt) {
           ++oracle_retries;
           r = oracle->requery(xds[i]);
         }
-        if (!r.ok()) {
-          failed = true;
-          break;
-        }
+        if (!r.ok()) return i;
         const BitVec& yv = r.response();
-        if (!have_first) {
+        if (v == 0) {
           first = yv;
-          have_first = true;
           ones.assign(yv.size(), 0);
         }
         for (std::size_t o = 0; o < yv.size(); ++o)
           if (yv.get(o)) ++ones[o];
       }
-      if (failed) {
-        oracle_failed = true;
-        return i;
-      }
-      if (votes == 1) {
-        ys->push_back(std::move(first));
-        continue;
-      }
-      BitVec out(first.size());
+      BitVec out = first;
       for (std::size_t o = 0; o < out.size(); ++o) {
-        const std::uint32_t count = ones[o];
-        if (2 * count > votes)
-          out.set(o, true);
-        else if (2 * count == votes)  // even split: keep the first response
-          out.set(o, first.get(o));
+        // An even split keeps the first response's bit.
+        if (2 * ones[o] != votes) out.set(o, 2 * ones[o] > votes);
       }
       ys->push_back(std::move(out));
     }
@@ -251,10 +193,7 @@ struct AttackContext {
       if (sel >= 0) pairs.push_back({xd, y, sel, true});
       return RecordStatus::kOk;
     }
-    if (!res.quarantine) {
-      oracle_inconsistent = true;
-      return RecordStatus::kInconsistent;
-    }
+    if (!res.quarantine) return RecordStatus::kInconsistent;
     solver.add_clause({sat::neg(sel)});
     oracle->note_corruption_suspected();
     ++evicted_pairs;
@@ -318,34 +257,6 @@ struct AttackContext {
     }
     solver.add_clause({sat::neg(h)});
     return out;
-  }
-
-  enum class DipRound { kOk, kOracleError, kInconsistent };
-
-  /// Queries the harvested DIPs — one query_batch flush when batching is
-  /// on, the classic serial resilient queries otherwise — and records each
-  /// answered pair in order. Recording never touches the oracle, so the
-  /// device sees the identical query sequence either way.
-  DipRound query_and_record(const std::vector<BitVec>& xds) {
-    std::vector<BitVec> ys;
-    std::size_t got;
-    if (batch) {
-      got = resilient_query_batch(xds, &ys);
-    } else {
-      got = 0;
-      ys.reserve(xds.size());
-      for (const BitVec& xd : xds) {
-        BitVec y;
-        if (!resilient_query(xd, &y)) break;
-        ys.push_back(std::move(y));
-        ++got;
-      }
-    }
-    for (std::size_t j = 0; j < got; ++j) {
-      if (record_pair(xds[j], ys[j]) == RecordStatus::kInconsistent)
-        return DipRound::kInconsistent;
-    }
-    return got == xds.size() ? DipRound::kOk : DipRound::kOracleError;
   }
 
   // --- quarantine repair ---------------------------------------------------
@@ -432,16 +343,13 @@ struct AttackContext {
   std::size_t miter_vars_ = 0;
   std::vector<Lit> assumps_buf_;  // assumps()/solve_subset() scratch
 
-  /// Records the miter's formula size at DIP-loop start, before hundreds
-  /// of iterations have appended fresh I/O-constraint cones.
-  void snapshot_miter_size() { miter_vars_ = solver.num_vars(); }
-
-  /// Copies formula-size / solver / resilience counters into the result.
-  void fill_solver_stats(SatAttackResult* result) const {
+  /// Copies formula-size / solver / oracle-traffic counters into the result.
+  void fill_stats(SatAttackResult* result) const {
     const sat::SolverStats st = solver.stats();
     result->solver_vars =
         miter_vars_ != 0 ? miter_vars_ : solver.num_vars();
     result->solver_wall_ms = st.solve_wall_ms;
+    result->oracle_queries = oracle->query_count();
     result->oracle_retries = oracle_retries;
     result->vote_queries = vote_queries;
     result->evicted_pairs = evicted_pairs;
@@ -450,7 +358,6 @@ struct AttackContext {
     result->solve_calls = st.solve_calls;
     result->clauses_carried = st.clauses_carried;
     result->encode_reused = lenc.encode_reused();
-    result->oracle_batches = oracle->batch_count();
     result->oracle_round_trips = oracle->round_trip_count();
     result->cache_hits = oracle->cache_hits();
     result->cache_misses = oracle->cache_misses();
@@ -468,12 +375,12 @@ struct AttackContext {
   /// quarantine on, a corrupted pair the caller should repair).
   bool extract_key(BitVec* key, std::int64_t budget,
                    SatAttackResult::Status* budget_status) {
-    const auto res_ = solver.solve(assumps(sat::neg(act)), budget);
-    if (res_ == Solver::Result::kUnknown) {
+    const auto r = solver.solve(assumps(sat::neg(act)), budget);
+    if (r == Solver::Result::kUnknown) {
       *budget_status = SatAttackResult::Status::kSolverBudget;
       return false;
     }
-    if (res_ != Solver::Result::kSat) return false;
+    if (r != Solver::Result::kSat) return false;
     *key = model_bits(k1);
     return true;
   }
@@ -490,42 +397,51 @@ std::vector<Var> fresh_vars(Solver& s, std::size_t n) {
 /// one corrupted pair per round forever).
 constexpr std::size_t kMaxRepairRounds = 256;
 
-/// Outcome of one extraction + repair attempt.
-enum class ExtractOutcome {
-  kDone,    // result.status / result.key are final
-  kResume,  // corrupted pairs evicted: re-enter the DIP loop
+/// What the DIP loop does next.
+enum class Step {
+  kContinue,  // run another DIP round
+  kExtract,   // no DIP left (or no consistent candidate): extract + repair
+  kDone,      // result->status (and result->key) are final
 };
+
+Step finish(SatAttackResult* result, Status status) {
+  result->status = status;
+  return Step::kDone;
+}
 
 // --- wide candidate-key simulation -----------------------------------------
 // The verification paths (verify_key_against_oracle, AppSAT's random-check
 // rounds, the degraded-key error measurement) all simulate the locked
 // circuit under one fixed key over many input samples. Packing
-// 64 * simd::kBlockWords samples per simulator pass replaces those
-// per-sample run_single calls with a handful of block evaluations over the
-// same netlist walk. Bit-exact with the per-sample path: each sample owns
-// one lane and the per-lane extraction reads exactly the bits run_single
+// 64 * simd::kBlockWords samples per simulator pass replaces per-sample
+// run_single calls with a handful of block evaluations over the same
+// netlist walk. Bit-exact with the per-sample path: each sample owns one
+// lane and the per-lane extraction reads exactly the bits run_single
 // would produce.
 
-/// Simulates `lc` under `key` for xs[q0..q1) in one wide pass (q1 - q0 must
-/// fit in one block, i.e. <= 64 * sim.block_words()); appends one response
-/// per sample to `out`, in order.
-void simulate_key_block(const LockedCircuit& lc, Simulator& sim,
+/// Lane word `j` of bit `bit` over the samples vs[q0..q1): sample
+/// q0 + 64 * j + b sits in lane b; lanes past q1 are 0.
+std::uint64_t lane_word(std::span<const BitVec> vs, std::size_t bit,
+                        std::size_t q0, std::size_t q1, std::size_t j) {
+  const std::size_t base = q0 + j * 64;
+  const std::size_t nb = base < q1 ? std::min<std::size_t>(64, q1 - base) : 0;
+  std::uint64_t word = 0;
+  for (std::size_t b = 0; b < nb; ++b)
+    if (vs[base + b].get(bit)) word |= std::uint64_t{1} << b;
+  return word;
+}
+
+/// Loads xs[q0..q1) into the data inputs of `sim`, one sample per lane
+/// (q1 - q0 must fit in one block, i.e. <= 64 * sim.block_words()), drives
+/// `key` on every lane of the key inputs, and runs one wide pass.
+void simulate_key_lanes(const LockedCircuit& lc, Simulator& sim,
                         std::span<const BitVec> xs, const BitVec& key,
-                        std::size_t q0, std::size_t q1,
-                        std::vector<BitVec>* out) {
+                        std::size_t q0, std::size_t q1) {
   const std::size_t w = sim.block_words();
   const std::size_t nd = lc.num_data_inputs;
   std::vector<std::uint64_t> block(w);
   for (std::size_t i = 0; i < nd; ++i) {
-    for (std::size_t j = 0; j < w; ++j) {
-      std::uint64_t word = 0;
-      const std::size_t base = q0 + j * 64;
-      const std::size_t nb =
-          base < q1 ? std::min<std::size_t>(64, q1 - base) : 0;
-      for (std::size_t b = 0; b < nb; ++b)
-        if (xs[base + b].get(i)) word |= std::uint64_t{1} << b;
-      block[j] = word;
-    }
+    for (std::size_t j = 0; j < w; ++j) block[j] = lane_word(xs, i, q0, q1, j);
     sim.set_input_block(i, block);
   }
   for (std::size_t i = 0; i < lc.num_key_inputs; ++i) {
@@ -534,14 +450,6 @@ void simulate_key_block(const LockedCircuit& lc, Simulator& sim,
     sim.set_input_block(nd + i, block);
   }
   sim.run();
-  const std::size_t nout = lc.netlist.num_outputs();
-  for (std::size_t q = q0; q < q1; ++q) {
-    const std::size_t lane = q - q0;
-    BitVec y(nout);
-    for (std::size_t o = 0; o < nout; ++o)
-      y.set(o, (sim.output_block(o)[lane / 64] >> (lane % 64)) & 1);
-    out->push_back(std::move(y));
-  }
 }
 
 /// Candidate-key responses for every input in `xs`.
@@ -550,70 +458,57 @@ std::vector<BitVec> simulate_key_batch(const LockedCircuit& lc,
                                        const BitVec& key) {
   Simulator sim(lc.netlist, simd::kBlockWords);
   const std::size_t lanes = 64 * sim.block_words();
+  const std::size_t nout = lc.netlist.num_outputs();
   std::vector<BitVec> out;
   out.reserve(xs.size());
-  for (std::size_t q0 = 0; q0 < xs.size(); q0 += lanes)
-    simulate_key_block(lc, sim, xs, key, q0,
-                       std::min(xs.size(), q0 + lanes), &out);
+  for (std::size_t q0 = 0; q0 < xs.size(); q0 += lanes) {
+    const std::size_t q1 = std::min(xs.size(), q0 + lanes);
+    simulate_key_lanes(lc, sim, xs, key, q0, q1);
+    for (std::size_t lane = 0; lane < q1 - q0; ++lane) {
+      BitVec y(nout);
+      for (std::size_t o = 0; o < nout; ++o)
+        y.set(o, (sim.output_block(o)[lane / 64] >> (lane % 64)) & 1);
+      out.push_back(std::move(y));
+    }
+  }
   return out;
 }
 
 /// Measures the candidate key's response error against the (resilient)
-/// oracle on fresh random samples and fills result with kDegraded.
+/// oracle on fresh random samples and fills result with kDegraded. The
+/// samples ship in 16-sample flushes with the deadline checked BETWEEN
+/// them: the loop is pure oracle traffic, so the solver's deadline check
+/// never fires in it, and deadline expiry must still win over the
+/// degraded verdict (kSolverBudget) within one flush of slack. A terminal
+/// oracle failure keeps the partial estimate for diagnostics.
 void finish_degraded(AttackContext& ctx, const BitVec& key,
                      SatAttackResult* result) {
-  result->status = SatAttackResult::Status::kDegraded;
+  result->status = Status::kDegraded;
   result->key = key;
   Rng rng(0x0ddf00dULL);
-  // Draw every sample up front (same rng stream as drawing per query) and
-  // batch the candidate-key responses through the wide simulator.
   std::vector<BitVec> xrs;
   xrs.reserve(ctx.res.degraded_samples);
   for (std::size_t q = 0; q < ctx.res.degraded_samples; ++q)
     xrs.push_back(BitVec::random(ctx.nd(), rng));
   const std::vector<BitVec> ycs = simulate_key_batch(ctx.lc, xrs, key);
   std::size_t mismatched_bits = 0, total_bits = 0;
-  if (ctx.batch) {
-    // Batched measurement: chunked query_batch flushes with the deadline
-    // checked BETWEEN chunks, so deadline expiry still wins over the
-    // degraded verdict (kSolverBudget) within one chunk of slack, and a
-    // terminal oracle failure still keeps the partial estimate.
-    constexpr std::size_t kChunk = 16;
-    for (std::size_t q0 = 0; q0 < xrs.size();) {
-      if (ctx.deadline_expired()) {
-        result->status = SatAttackResult::Status::kSolverBudget;
-        break;
-      }
-      const std::size_t q1 = std::min(xrs.size(), q0 + kChunk);
-      const std::vector<BitVec> sub(
-          xrs.begin() + static_cast<std::ptrdiff_t>(q0),
-          xrs.begin() + static_cast<std::ptrdiff_t>(q1));
-      std::vector<BitVec> yos;
-      const std::size_t got = ctx.resilient_query_batch(sub, &yos);
-      for (std::size_t j = 0; j < got; ++j) {
-        mismatched_bits += (yos[j] ^ ycs[q0 + j]).count();
-        total_bits += yos[j].size();
-      }
-      if (got < sub.size()) break;  // keep the partial estimate
-      q0 = q1;
+  constexpr std::size_t kChunk = 16;
+  for (std::size_t q0 = 0; q0 < xrs.size(); q0 += kChunk) {
+    if (ctx.deadline_expired()) {
+      result->status = Status::kSolverBudget;
+      break;
     }
-  } else {
-    for (std::size_t q = 0; q < xrs.size(); ++q) {
-      // The measurement loop is pure oracle traffic, so the solver's
-      // deadline check never fires in it; with a slow (e.g. remote) oracle
-      // it used to overshoot the deadline by up to degraded_samples
-      // round-trips and still report kDegraded. Deadline expiry must win
-      // over the degraded verdict; the partial error estimate is kept for
-      // diagnostics.
-      if (ctx.deadline_expired()) {
-        result->status = SatAttackResult::Status::kSolverBudget;
-        break;
-      }
-      BitVec yo;
-      if (!ctx.resilient_query(xrs[q], &yo)) break;  // keep partial estimate
-      mismatched_bits += (yo ^ ycs[q]).count();
-      total_bits += yo.size();
+    const std::vector<BitVec> sub(
+        xrs.begin() + static_cast<std::ptrdiff_t>(q0),
+        xrs.begin() + static_cast<std::ptrdiff_t>(
+                          std::min(xrs.size(), q0 + kChunk)));
+    std::vector<BitVec> yos;
+    const std::size_t got = ctx.resilient_query_batch(sub, &yos);
+    for (std::size_t j = 0; j < got; ++j) {
+      mismatched_bits += (yos[j] ^ ycs[q0 + j]).count();
+      total_bits += yos[j].size();
     }
+    if (got < sub.size()) break;
   }
   ctx.oracle_error_rate =
       total_bits == 0 ? -1.0
@@ -626,411 +521,239 @@ void finish_degraded(AttackContext& ctx, const BitVec& key,
 /// accepted only if the key space stays non-empty), extracts a key from
 /// it, and measures its error rate. Deterministic: the pair order and
 /// every solve are.
-void degrade(AttackContext& ctx, std::int64_t budget,
+Step degrade(AttackContext& ctx, std::int64_t budget,
              SatAttackResult* result) {
-  if (ctx.deadline_expired()) {
-    result->status = SatAttackResult::Status::kSolverBudget;
-    return;
-  }
+  if (ctx.deadline_expired()) return finish(result, Status::kSolverBudget);
   std::vector<std::size_t> chosen;
   for (std::size_t i = 0; i < ctx.pairs.size(); ++i) {
     if (!ctx.pairs[i].live) continue;
     chosen.push_back(i);
     const Solver::Result r = ctx.solve_subset(chosen, budget);
-    if (r == Solver::Result::kUnknown) {
-      result->status = SatAttackResult::Status::kSolverBudget;
-      return;
-    }
+    if (r == Solver::Result::kUnknown)
+      return finish(result, Status::kSolverBudget);
     if (r != Solver::Result::kSat) chosen.pop_back();
   }
   const Solver::Result r = ctx.solve_subset(chosen, budget);
-  if (r == Solver::Result::kUnknown) {
-    result->status = SatAttackResult::Status::kSolverBudget;
-    return;
-  }
-  if (r != Solver::Result::kSat) {
-    // Even the empty subset is UNSAT: the key space is empty regardless
-    // of any oracle answer.
-    result->status = SatAttackResult::Status::kInconsistentOracle;
-    return;
-  }
+  if (r == Solver::Result::kUnknown)
+    return finish(result, Status::kSolverBudget);
+  // Even the empty subset is UNSAT: the key space is empty regardless of
+  // any oracle answer.
+  if (r != Solver::Result::kSat)
+    return finish(result, Status::kInconsistentOracle);
   finish_degraded(ctx, ctx.model_bits(ctx.k1), result);
+  return Step::kDone;
 }
 
-/// Final key extraction with quarantine repair. On kResume the caller
-/// re-enters its DIP loop (corrupted pairs were evicted and re-queried).
-ExtractOutcome extract_or_repair(AttackContext& ctx, std::int64_t budget,
-                                 std::size_t* repair_rounds,
-                                 SatAttackResult* result) {
-  if (ctx.deadline_expired()) {
-    result->status = SatAttackResult::Status::kSolverBudget;
-    return ExtractOutcome::kDone;
-  }
-  SatAttackResult::Status budget_status = SatAttackResult::Status::kKeyFound;
-  if (ctx.extract_key(&result->key, budget, &budget_status)) {
-    result->status = SatAttackResult::Status::kKeyFound;
-    return ExtractOutcome::kDone;
-  }
-  if (budget_status == SatAttackResult::Status::kSolverBudget) {
-    result->status = budget_status;
-    return ExtractOutcome::kDone;
-  }
+/// Final key extraction with quarantine repair. kContinue re-enters the
+/// DIP loop (corrupted pairs were evicted and re-queried).
+Step extract_or_repair(AttackContext& ctx, std::int64_t budget,
+                       std::size_t* repair_rounds, SatAttackResult* result) {
+  if (ctx.deadline_expired()) return finish(result, Status::kSolverBudget);
+  Status budget_status = Status::kKeyFound;
+  if (ctx.extract_key(&result->key, budget, &budget_status))
+    return finish(result, Status::kKeyFound);
+  if (budget_status == Status::kSolverBudget)
+    return finish(result, budget_status);
   // Proven UNSAT. Without quarantine this is the classic verdict: no key
   // explains the observed pairs — the oracle lied.
-  if (!ctx.res.quarantine) {
-    result->status = SatAttackResult::Status::kInconsistentOracle;
-    return ExtractOutcome::kDone;
-  }
+  if (!ctx.res.quarantine) return finish(result, Status::kInconsistentOracle);
   bool aborted = false;
   const std::vector<std::size_t> suspects =
       ctx.minimize_suspects(budget, &aborted);
-  if (aborted) {
-    result->status = SatAttackResult::Status::kSolverBudget;
-    return ExtractOutcome::kDone;
-  }
-  if (suspects.empty()) {
-    // The refutation never leaned on a pair selector: the key space is
-    // empty independent of the observations — genuinely inconsistent.
-    result->status = SatAttackResult::Status::kInconsistentOracle;
-    return ExtractOutcome::kDone;
-  }
+  if (aborted) return finish(result, Status::kSolverBudget);
+  // The refutation never leaned on a pair selector: the key space is
+  // empty independent of the observations — genuinely inconsistent.
+  if (suspects.empty()) return finish(result, Status::kInconsistentOracle);
   if (++*repair_rounds > kMaxRepairRounds ||
-      ctx.evicted_pairs + suspects.size() > ctx.res.max_evictions) {
-    degrade(ctx, budget, result);
-    return ExtractOutcome::kDone;
-  }
+      ctx.evicted_pairs + suspects.size() > ctx.res.max_evictions)
+    return degrade(ctx, budget, result);
+  // Re-queries are oracle traffic that never reaches the solver's deadline
+  // check, so expiry is checked once more right before their flush: a
+  // deadline result, never whatever verdict the repair would have reached.
+  if (ctx.deadline_expired()) return finish(result, Status::kSolverBudget);
   // Evict the minimal inconsistent subset and ask the oracle again about
-  // each of its inputs — a fresh answer (new noise draw, retries, votes)
-  // usually disagrees with the corrupted one and re-enters cleanly.
-  if (ctx.batch) {
-    // Batched repair: the whole re-query set (with all its vote replicas)
-    // ships as one flush. Deadline checked once up front — the flush is a
-    // single round trip, so the serial loop's per-pair check degenerates
-    // to this one.
-    if (ctx.deadline_expired()) {
-      result->status = SatAttackResult::Status::kSolverBudget;
-      return ExtractOutcome::kDone;
-    }
-    std::vector<BitVec> xds;
-    xds.reserve(suspects.size());
-    for (const std::size_t i : suspects) {
-      xds.push_back(ctx.pairs[i].x);
-      ctx.evict_pair(i);
-      ++ctx.requeried_pairs;
-    }
-    std::vector<BitVec> ys;
-    const std::size_t got =
-        ctx.resilient_query_batch(xds, &ys, /*logical=*/false);
-    for (std::size_t j = 0; j < got; ++j) ctx.record_pair(xds[j], ys[j]);
-    if (got < xds.size()) {
-      result->status = SatAttackResult::Status::kOracleError;
-      return ExtractOutcome::kDone;
-    }
-    return ExtractOutcome::kResume;
-  }
+  // each of its inputs, all in one flush — a fresh answer (new noise draw,
+  // retries, votes) usually disagrees with the corrupted one and re-enters
+  // cleanly. A re-recorded pair that is corrupted again evicts itself; the
+  // next extraction round deals with subtler corruption.
+  std::vector<BitVec> xds;
+  xds.reserve(suspects.size());
   for (const std::size_t i : suspects) {
-    // Re-queries are oracle traffic: nothing on this path reaches the
-    // solver's deadline check, so a slow oracle used to drag the repair
-    // loop arbitrarily past the deadline and then report whatever verdict
-    // the repair happened to reach (kDegraded, kInconsistentOracle, even
-    // kKeyFound). Deadline expiry here is a deadline result, full stop.
-    if (ctx.deadline_expired()) {
-      result->status = SatAttackResult::Status::kSolverBudget;
-      return ExtractOutcome::kDone;
-    }
-    const BitVec xd = ctx.pairs[i].x;
+    xds.push_back(ctx.pairs[i].x);
     ctx.evict_pair(i);
     ++ctx.requeried_pairs;
-    BitVec y;
-    if (!ctx.resilient_query(xd, &y, /*logical=*/false)) {
-      result->status = SatAttackResult::Status::kOracleError;
-      return ExtractOutcome::kDone;
-    }
-    // A re-recorded pair that is corrupted again evicts itself; the next
-    // extraction round deals with subtler corruption.
-    ctx.record_pair(xd, y);
   }
-  return ExtractOutcome::kResume;
+  std::vector<BitVec> ys;
+  const std::size_t got =
+      ctx.resilient_query_batch(xds, &ys, /*logical=*/false);
+  for (std::size_t j = 0; j < got; ++j) ctx.record_pair(xds[j], ys[j]);
+  if (got < xds.size()) return finish(result, Status::kOracleError);
+  return Step::kContinue;
+}
+
+/// What distinguishes the three attacks once their miter is built.
+struct DipLoop {
+  std::int64_t max_iterations = 0;
+  std::int64_t conflict_budget = -1;
+  std::size_t dip_batch = 1;
+  /// The key copy each harvested DIP splits from k1 (k2, or k3 for
+  /// Double-DIP).
+  const std::vector<Var>* kb = nullptr;
+  /// Runs after every DIP round that recorded its pairs (AppSAT's
+  /// sampling round); empty = kContinue.
+  std::function<Step(SatAttackResult*)> after_round;
+};
+
+/// One solver round: find up to dip_batch DIPs, ask them in one flush and
+/// record the answers.
+Step dip_round(AttackContext& ctx, const DipLoop& loop,
+               SatAttackResult* result) {
+  if (ctx.deadline_expired()) return finish(result, Status::kSolverBudget);
+  const auto res =
+      ctx.solver.solve(ctx.assumps(sat::pos(ctx.act)), loop.conflict_budget);
+  // A budget abort is never a lying oracle.
+  if (res == Solver::Result::kUnknown)
+    return finish(result, Status::kSolverBudget);
+  if (res == Solver::Result::kUnsat) return Step::kExtract;  // no DIP left
+  // Harvest up to dip_batch DIPs from this solver round (1 = the classic
+  // loop, bit for bit), capped at the iteration budget.
+  const std::size_t want =
+      std::min(loop.dip_batch, static_cast<std::size_t>(loop.max_iterations) -
+                                   result->iterations);
+  const std::vector<BitVec> xds =
+      ctx.harvest_dips(want, loop.conflict_budget, ctx.k1, *loop.kb);
+  result->iterations += xds.size();
+  std::vector<BitVec> ys;
+  const std::size_t got = ctx.resilient_query_batch(xds, &ys);
+  for (std::size_t j = 0; j < got; ++j) {
+    // A key-independent output contradicted the response: no key can
+    // explain this oracle (and quarantine is off). Pairs evicted at record
+    // time constrain nothing; their DIPs resurface in a later round.
+    if (ctx.record_pair(xds[j], ys[j]) ==
+        AttackContext::RecordStatus::kInconsistent)
+      return finish(result, Status::kInconsistentOracle);
+  }
+  if (got < xds.size()) return finish(result, Status::kOracleError);
+  if (ctx.over_eviction_budget())
+    return degrade(ctx, loop.conflict_budget, result);
+  return loop.after_round ? loop.after_round(result) : Step::kContinue;
+}
+
+/// The DIP loop shared by all three attacks: DIP rounds until none is
+/// left, then key extraction with quarantine repair, which may reopen the
+/// key space and resume the rounds. The stats are filled exactly once, at
+/// the single exit, so solver wall time is never split between a loop and
+/// an extraction snapshot.
+SatAttackResult run_dip_loop(AttackContext& ctx, const DipLoop& loop) {
+  // Formula size at loop start, before the rounds append I/O-constraint
+  // cones.
+  ctx.miter_vars_ = ctx.solver.num_vars();
+  SatAttackResult result;
+  std::size_t repair_rounds = 0;
+  for (Step step = Step::kContinue; step != Step::kDone;) {
+    if (static_cast<std::int64_t>(result.iterations) >= loop.max_iterations)
+      step = finish(&result, Status::kIterationLimit);
+    else if (step == Step::kContinue)
+      step = dip_round(ctx, loop, &result);
+    else
+      step = extract_or_repair(ctx, loop.conflict_budget, &repair_rounds,
+                               &result);
+  }
+  ctx.fill_stats(&result);
+  return result;
+}
+
+/// The SAT / AppSAT miter: two key copies over shared data inputs, active
+/// when some output differs.
+void build_pair_miter(AttackContext& ctx) {
+  ctx.x = fresh_vars(ctx.solver, ctx.nd());
+  ctx.k1 = fresh_vars(ctx.solver, ctx.nk());
+  ctx.k2 = fresh_vars(ctx.solver, ctx.nk());
+  ctx.act = ctx.solver.new_var();
+  ctx.key_sets = {ctx.k1, ctx.k2};
+  const auto a = ctx.lenc.encode_full(ctx.x, ctx.k1);
+  const auto b = ctx.lenc.encode_key_variant(a, ctx.k2);
+  std::vector<Lit> any{sat::neg(ctx.act)};
+  for (std::size_t o = 0; o < a.outputs.size(); ++o)
+    any.push_back(sat::pos(ctx.enc().encode_xor2(a.outputs[o], b.outputs[o])));
+  ctx.solver.add_clause(any);
 }
 
 }  // namespace
 
 SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
                            const SatAttackOptions& opts) {
-  ORAP_CHECK(oracle.num_inputs() == locked.num_data_inputs);
-  ORAP_CHECK(oracle.num_outputs() == locked.netlist.num_outputs());
-
   AttackContext ctx(locked, oracle, opts.resilience, opts.deadline_ms);
-  ctx.batch = opts.oracle_batch;
-  ctx.dip_batch = opts.dip_batch < 1 ? 1 : opts.dip_batch;
-  ctx.x = fresh_vars(ctx.solver, ctx.nd());
-  ctx.k1 = fresh_vars(ctx.solver, ctx.nk());
-  ctx.k2 = fresh_vars(ctx.solver, ctx.nk());
-  ctx.act = ctx.solver.new_var();
-  ctx.key_sets = {ctx.k1, ctx.k2};
-
-  const auto a = ctx.lenc.encode_full(ctx.x, ctx.k1);
-  const auto b = ctx.lenc.encode_key_variant(a, ctx.k2);
-  // Activatable miter: act -> outputs differ somewhere.
-  {
-    std::vector<Lit> any{sat::neg(ctx.act)};
-    for (std::size_t o = 0; o < a.outputs.size(); ++o)
-      any.push_back(
-          sat::pos(ctx.enc().encode_xor2(a.outputs[o], b.outputs[o])));
-    ctx.solver.add_clause(any);
-  }
-  ctx.snapshot_miter_size();
-
-  SatAttackResult result;
-  const auto finish = [&ctx, &result, &oracle] {
-    result.oracle_queries = oracle.query_count();
-    ctx.fill_solver_stats(&result);
-  };
-  std::size_t repair_rounds = 0;
-  while (true) {
-    // --- DIP loop over the live pair set ---------------------------------
-    while (static_cast<std::int64_t>(result.iterations) <
-           opts.max_iterations) {
-      if (ctx.deadline_expired()) {
-        result.status = SatAttackResult::Status::kSolverBudget;
-        finish();
-        return result;
-      }
-      const auto res =
-          ctx.solver.solve(ctx.assumps(sat::pos(ctx.act)),
-                           opts.conflict_budget);
-      if (res == Solver::Result::kUnknown) {
-        result.status = SatAttackResult::Status::kSolverBudget;
-        finish();
-        return result;
-      }
-      if (res == Solver::Result::kUnsat) break;  // no DIP left
-      // Harvest up to dip_batch DIPs from this solver round (1 = the
-      // classic loop, bit for bit), capped at the iteration budget, and
-      // query them in one flush when batching is on.
-      const std::size_t want = std::min(
-          ctx.dip_batch,
-          static_cast<std::size_t>(opts.max_iterations) - result.iterations);
-      const std::vector<BitVec> xds =
-          ctx.harvest_dips(want, opts.conflict_budget, ctx.k1, ctx.k2);
-      result.iterations += xds.size();
-      const auto round = ctx.query_and_record(xds);
-      if (round == AttackContext::DipRound::kOracleError) {
-        result.status = SatAttackResult::Status::kOracleError;
-        finish();
-        return result;
-      }
-      if (round == AttackContext::DipRound::kInconsistent) {
-        // A key-independent output contradicted the response: no key can
-        // explain this oracle (and quarantine is off).
-        result.status = SatAttackResult::Status::kInconsistentOracle;
-        finish();
-        return result;
-      }
-      if (ctx.over_eviction_budget()) {
-        degrade(ctx, opts.conflict_budget, &result);
-        finish();
-        return result;
-      }
-      // kEvicted pairs inside the round were quarantined without
-      // constraining anything; those DIPs resurface and are re-queried in
-      // a later round.
-    }
-    // finish() exactly once per exit path: a second call after extract_key
-    // used to overwrite the stats snapshot and misattribute solver wall
-    // time between the DIP loop and the extraction.
-    if (static_cast<std::int64_t>(result.iterations) >= opts.max_iterations) {
-      result.status = SatAttackResult::Status::kIterationLimit;
-      finish();
-      return result;
-    }
-
-    if (extract_or_repair(ctx, opts.conflict_budget, &repair_rounds,
-                          &result) == ExtractOutcome::kDone) {
-      finish();
-      return result;
-    }
-    // Pairs were evicted and re-queried: the key space reopened, so the
-    // DIP loop continues refining it.
-  }
+  build_pair_miter(ctx);
+  DipLoop loop;
+  loop.max_iterations = opts.max_iterations;
+  loop.conflict_budget = opts.conflict_budget;
+  loop.dip_batch = std::max<std::size_t>(opts.dip_batch, 1);
+  loop.kb = &ctx.k2;
+  return run_dip_loop(ctx, loop);
 }
 
 SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
                               const AppSatOptions& opts) {
   AttackContext ctx(locked, oracle, opts.resilience, opts.deadline_ms);
-  ctx.batch = opts.oracle_batch;
-  ctx.x = fresh_vars(ctx.solver, ctx.nd());
-  ctx.k1 = fresh_vars(ctx.solver, ctx.nk());
-  ctx.k2 = fresh_vars(ctx.solver, ctx.nk());
-  ctx.act = ctx.solver.new_var();
-  ctx.key_sets = {ctx.k1, ctx.k2};
-  const auto a = ctx.lenc.encode_full(ctx.x, ctx.k1);
-  const auto b = ctx.lenc.encode_key_variant(a, ctx.k2);
-  {
-    std::vector<Lit> any{sat::neg(ctx.act)};
-    for (std::size_t o = 0; o < a.outputs.size(); ++o)
-      any.push_back(
-          sat::pos(ctx.enc().encode_xor2(a.outputs[o], b.outputs[o])));
-    ctx.solver.add_clause(any);
-  }
-  ctx.snapshot_miter_size();
-
+  build_pair_miter(ctx);
   Rng rng(opts.seed);
-  SatAttackResult result;
   std::size_t clean_rounds = 0;
-  const auto finish = [&ctx, &result, &oracle] {
-    result.oracle_queries = oracle.query_count();
-    ctx.fill_solver_stats(&result);
+  DipLoop loop;
+  loop.max_iterations = opts.max_iterations;
+  loop.conflict_budget = opts.conflict_budget;
+  loop.kb = &ctx.k2;
+  // Every check_period DIPs: a random-sampling round on the current
+  // candidate key, one flush for the whole round. A mismatching sample is
+  // recorded as an extra I/O pair.
+  loop.after_round = [&](SatAttackResult* result) {
+    if (result->iterations % opts.check_period != 0) return Step::kContinue;
+    Status mid_status = Status::kKeyFound;
+    BitVec candidate;
+    if (!ctx.extract_key(&candidate, opts.conflict_budget, &mid_status)) {
+      if (mid_status == Status::kSolverBudget)
+        return finish(result, mid_status);
+      return Step::kExtract;  // no consistent key: extraction + repair
+    }
+    std::vector<BitVec> xrs;
+    xrs.reserve(opts.random_queries);
+    for (std::size_t q = 0; q < opts.random_queries; ++q)
+      xrs.push_back(BitVec::random(ctx.nd(), rng));
+    const std::vector<BitVec> ycs = simulate_key_batch(locked, xrs, candidate);
+    std::vector<BitVec> yos;
+    const std::size_t got = ctx.resilient_query_batch(xrs, &yos);
+    std::size_t mismatches = 0;
+    for (std::size_t q = 0; q < got; ++q) {
+      if (yos[q] == ycs[q]) continue;
+      ++mismatches;
+      if (ctx.record_pair(xrs[q], yos[q]) ==
+          AttackContext::RecordStatus::kInconsistent)
+        return finish(result, Status::kInconsistentOracle);
+    }
+    if (got < xrs.size()) return finish(result, Status::kOracleError);
+    if (ctx.over_eviction_budget())
+      return degrade(ctx, opts.conflict_budget, result);
+    if (mismatches != 0) {
+      clean_rounds = 0;
+      return Step::kContinue;
+    }
+    if (++clean_rounds < opts.settle_rounds) return Step::kContinue;
+    // Settled while DIPs may remain: the key matched every sample, which
+    // makes it approximate, not proven.
+    result->key = candidate;
+    return finish(result, Status::kApproximateKey);
   };
-  std::size_t repair_rounds = 0;
-
-  while (true) {
-    bool dip_space_empty = false;
-    while (static_cast<std::int64_t>(result.iterations) <
-           opts.max_iterations) {
-      if (ctx.deadline_expired()) {
-        result.status = SatAttackResult::Status::kSolverBudget;
-        finish();
-        return result;
-      }
-      const auto res = ctx.solver.solve(ctx.assumps(sat::pos(ctx.act)),
-                                        opts.conflict_budget);
-      if (res == Solver::Result::kUnknown) {
-        // Budget abort, exactly as in sat_attack — NOT a lying oracle.
-        result.status = SatAttackResult::Status::kSolverBudget;
-        finish();
-        return result;
-      }
-      if (res == Solver::Result::kUnsat) {
-        dip_space_empty = true;  // exact convergence (over the live pairs)
-        break;
-      }
-      ++result.iterations;
-      // One DIP per round (the check_period interleave wants that), but
-      // query_and_record still flushes its vote replicas as one batch
-      // when batching is on.
-      const auto round = ctx.query_and_record({ctx.model_bits(ctx.x)});
-      if (round == AttackContext::DipRound::kOracleError) {
-        result.status = SatAttackResult::Status::kOracleError;
-        finish();
-        return result;
-      }
-      if (round == AttackContext::DipRound::kInconsistent) {
-        result.status = SatAttackResult::Status::kInconsistentOracle;
-        finish();
-        return result;
-      }
-      if (ctx.over_eviction_budget()) {
-        degrade(ctx, opts.conflict_budget, &result);
-        finish();
-        return result;
-      }
-
-      if (result.iterations % opts.check_period != 0) continue;
-      // Random-sampling round on the current candidate key.
-      SatAttackResult::Status mid_status = SatAttackResult::Status::kKeyFound;
-      BitVec candidate;
-      if (!ctx.extract_key(&candidate, opts.conflict_budget, &mid_status)) {
-        if (mid_status == SatAttackResult::Status::kSolverBudget) {
-          result.status = mid_status;
-          finish();
-          return result;
-        }
-        break;  // no consistent key: extraction + repair settles it below
-      }
-      // Draw the whole round up front (identical rng stream to drawing one
-      // sample per query) and batch the candidate's responses through the
-      // wide simulator; the oracle query order and every early exit stay
-      // exactly as in the per-sample loop.
-      std::vector<BitVec> xrs;
-      xrs.reserve(opts.random_queries);
-      for (std::size_t q = 0; q < opts.random_queries; ++q)
-        xrs.push_back(BitVec::random(ctx.nd(), rng));
-      const std::vector<BitVec> ycs =
-          simulate_key_batch(locked, xrs, candidate);
-      std::size_t mismatches = 0;
-      if (ctx.batch) {
-        // The whole sampling round — every sample with every vote replica
-        // — in one flush; mismatches recorded afterwards in sample order
-        // (recording never touches the oracle).
-        std::vector<BitVec> yos;
-        const std::size_t got = ctx.resilient_query_batch(xrs, &yos);
-        for (std::size_t q = 0; q < got; ++q) {
-          if (yos[q] != ycs[q]) {
-            ++mismatches;
-            if (ctx.record_pair(xrs[q], yos[q]) ==
-                AttackContext::RecordStatus::kInconsistent) {
-              result.status = SatAttackResult::Status::kInconsistentOracle;
-              finish();
-              return result;
-            }
-          }
-        }
-        if (got < xrs.size()) {
-          result.status = SatAttackResult::Status::kOracleError;
-          finish();
-          return result;
-        }
-      } else {
-        for (std::size_t q = 0; q < xrs.size(); ++q) {
-          BitVec yo;
-          if (!ctx.resilient_query(xrs[q], &yo)) {
-            result.status = SatAttackResult::Status::kOracleError;
-            finish();
-            return result;
-          }
-          if (yo != ycs[q]) {
-            ++mismatches;
-            if (ctx.record_pair(xrs[q], yo) ==
-                AttackContext::RecordStatus::kInconsistent) {
-              result.status = SatAttackResult::Status::kInconsistentOracle;
-              finish();
-              return result;
-            }
-          }
-        }
-      }
-      if (ctx.over_eviction_budget()) {
-        degrade(ctx, opts.conflict_budget, &result);
-        finish();
-        return result;
-      }
-      if (mismatches == 0) {
-        if (++clean_rounds >= opts.settle_rounds) {
-          // Approximate key settled.
-          result.status = SatAttackResult::Status::kKeyFound;
-          result.key = candidate;
-          finish();
-          return result;
-        }
-      } else {
-        clean_rounds = 0;
-      }
-    }
-    if (!dip_space_empty &&
-        static_cast<std::int64_t>(result.iterations) >= opts.max_iterations) {
-      result.status = SatAttackResult::Status::kIterationLimit;
-      finish();
-      return result;
-    }
-    if (extract_or_repair(ctx, opts.conflict_budget, &repair_rounds,
-                          &result) == ExtractOutcome::kDone) {
-      finish();
-      return result;
-    }
-  }
+  return run_dip_loop(ctx, loop);
 }
 
 SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
                                   const SatAttackOptions& opts) {
   AttackContext ctx(locked, oracle, opts.resilience, opts.deadline_ms);
-  ctx.batch = opts.oracle_batch;
-  ctx.dip_batch = opts.dip_batch < 1 ? 1 : opts.dip_batch;
   ctx.x = fresh_vars(ctx.solver, ctx.nd());
   ctx.k1 = fresh_vars(ctx.solver, ctx.nk());
   ctx.k2 = fresh_vars(ctx.solver, ctx.nk());
-  auto k3 = fresh_vars(ctx.solver, ctx.nk());
-  auto k4 = fresh_vars(ctx.solver, ctx.nk());
+  const auto k3 = fresh_vars(ctx.solver, ctx.nk());
+  const auto k4 = fresh_vars(ctx.solver, ctx.nk());
   ctx.act = ctx.solver.new_var();
   ctx.key_sets = {ctx.k1, ctx.k2, k3, k4};
   Solver& s = ctx.solver;
@@ -1064,72 +787,20 @@ SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
   }
   add_neq(ctx.k1, ctx.k2);
   add_neq(k3, k4);
-  ctx.snapshot_miter_size();
 
-  SatAttackResult result;
-  const auto finish = [&ctx, &result, &oracle] {
-    result.oracle_queries = oracle.query_count();
-    ctx.fill_solver_stats(&result);
-  };
-  std::size_t repair_rounds = 0;
-  while (true) {
-    while (static_cast<std::int64_t>(result.iterations) <
-           opts.max_iterations) {
-      if (ctx.deadline_expired()) {
-        result.status = SatAttackResult::Status::kSolverBudget;
-        finish();
-        return result;
-      }
-      const auto res = s.solve(ctx.assumps(sat::pos(ctx.act)),
-                               opts.conflict_budget);
-      if (res == Solver::Result::kUnknown) {
-        result.status = SatAttackResult::Status::kSolverBudget;
-        finish();
-        return result;
-      }
-      if (res == Solver::Result::kUnsat) break;
-      // Same k-DIP harvesting as sat_attack: each harvested input is a
-      // genuine double-DIP of the current constraint set.
-      const std::size_t want = std::min(
-          ctx.dip_batch,
-          static_cast<std::size_t>(opts.max_iterations) - result.iterations);
-      const std::vector<BitVec> xds =
-          ctx.harvest_dips(want, opts.conflict_budget, ctx.k1, k3);
-      result.iterations += xds.size();
-      const auto round = ctx.query_and_record(xds);
-      if (round == AttackContext::DipRound::kOracleError) {
-        result.status = SatAttackResult::Status::kOracleError;
-        finish();
-        return result;
-      }
-      if (round == AttackContext::DipRound::kInconsistent) {
-        result.status = SatAttackResult::Status::kInconsistentOracle;
-        finish();
-        return result;
-      }
-      if (ctx.over_eviction_budget()) {
-        degrade(ctx, opts.conflict_budget, &result);
-        finish();
-        return result;
-      }
-    }
-    if (static_cast<std::int64_t>(result.iterations) >= opts.max_iterations) {
-      result.status = SatAttackResult::Status::kIterationLimit;
-      finish();
-      return result;
-    }
-    // No double-DIP remains: at most one equivalence class of the
-    // "traditional" key part survives (point-function flips like SARLock's
-    // cannot form a double-DIP, so they stay unresolved — the Double-DIP
-    // paper's point is precisely that this part does not matter). Extract a
-    // key from the surviving class; run sat_attack afterwards if exactness
-    // on the point-function part is required.
-    if (extract_or_repair(ctx, opts.conflict_budget, &repair_rounds,
-                          &result) == ExtractOutcome::kDone) {
-      finish();
-      return result;
-    }
-  }
+  // Each harvested input is a genuine double-DIP of the current constraint
+  // set. When none remains, at most one equivalence class of the
+  // "traditional" key part survives (point-function flips like SARLock's
+  // cannot form a double-DIP, so they stay unresolved — the Double-DIP
+  // paper's point is precisely that this part does not matter); the key is
+  // extracted from that class. Run sat_attack afterwards if exactness on
+  // the point-function part is required.
+  DipLoop loop;
+  loop.max_iterations = opts.max_iterations;
+  loop.conflict_budget = opts.conflict_budget;
+  loop.dip_batch = std::max<std::size_t>(opts.dip_batch, 1);
+  loop.kb = &k3;
+  return run_dip_loop(ctx, loop);
 }
 
 std::size_t verify_key_against_oracle(const LockedCircuit& locked,
@@ -1140,7 +811,7 @@ std::size_t verify_key_against_oracle(const LockedCircuit& locked,
   // drawn up front and shipped as one Oracle::query_batch flush (a single
   // round trip over a served oracle). Decorators apply their per-query
   // randomness in element order, so the responses — and therefore the
-  // mismatch count — are byte-identical to the old serial loop.
+  // mismatch count — equal those of asking the samples one by one.
   Rng rng(seed);
   std::vector<BitVec> draws;
   draws.reserve(samples);
@@ -1163,9 +834,10 @@ std::size_t verify_key_against_oracle(const LockedCircuit& locked,
   // bit differs, so per pass the expected responses are packed into lane
   // words, XORed against the simulated output blocks, and the surviving
   // lane mask popcounted — the count is identical to comparing run_single
-  // sample by sample.
+  // sample by sample, at any thread count.
   const std::size_t lanes = 64 * simd::kBlockWords;
   const std::size_t num_blocks = (xs.size() + lanes - 1) / lanes;
+  const std::size_t nout = locked.netlist.num_outputs();
   std::vector<std::unique_ptr<Simulator>> sims(parallel_threads());
   return parallel_reduce(
       /*grain=*/1, num_blocks, std::size_t{0},
@@ -1175,47 +847,19 @@ std::size_t verify_key_against_oracle(const LockedCircuit& locked,
           sims[slot] =
               std::make_unique<Simulator>(locked.netlist, simd::kBlockWords);
         Simulator& sim = *sims[slot];
-        const std::size_t w = sim.block_words();
-        const std::size_t nd = locked.num_data_inputs;
-        std::vector<std::uint64_t> block(w);
         std::size_t miss = 0;
         for (std::size_t blk = bb; blk < be; ++blk) {
           const std::size_t q0 = blk * lanes;
           const std::size_t q1 = std::min(xs.size(), q0 + lanes);
-          for (std::size_t i = 0; i < nd; ++i) {
-            for (std::size_t j = 0; j < w; ++j) {
-              std::uint64_t word = 0;
-              const std::size_t base = q0 + j * 64;
-              const std::size_t nb =
-                  base < q1 ? std::min<std::size_t>(64, q1 - base) : 0;
-              for (std::size_t b = 0; b < nb; ++b)
-                if (xs[base + b].get(i)) word |= std::uint64_t{1} << b;
-              block[j] = word;
-            }
-            sim.set_input_block(i, block);
-          }
-          for (std::size_t i = 0; i < locked.num_key_inputs; ++i) {
-            std::fill(block.begin(), block.end(),
-                      key.get(i) ? ~std::uint64_t{0} : std::uint64_t{0});
-            sim.set_input_block(nd + i, block);
-          }
-          sim.run();
-          for (std::size_t j = 0; j < w; ++j) {
-            const std::size_t base = q0 + j * 64;
-            const std::size_t nb =
-                base < q1 ? std::min<std::size_t>(64, q1 - base) : 0;
-            if (nb == 0) break;
+          simulate_key_lanes(locked, sim, xs, key, q0, q1);
+          for (std::size_t j = 0; q0 + j * 64 < q1; ++j) {
+            const std::size_t nb = std::min<std::size_t>(64, q1 - q0 - j * 64);
             std::uint64_t diff = 0;
-            for (std::size_t o = 0; o < locked.netlist.num_outputs(); ++o) {
-              std::uint64_t exp = 0;
-              for (std::size_t b = 0; b < nb; ++b)
-                if (ys[base + b].get(o)) exp |= std::uint64_t{1} << b;
-              diff |= sim.output_block(o)[j] ^ exp;
-            }
+            for (std::size_t o = 0; o < nout; ++o)
+              diff |= sim.output_block(o)[j] ^ lane_word(ys, o, q0, q1, j);
             const std::uint64_t valid =
                 nb == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << nb) - 1;
-            miss += static_cast<std::size_t>(
-                std::popcount(diff & valid));
+            miss += static_cast<std::size_t>(std::popcount(diff & valid));
           }
         }
         return miss;

@@ -53,7 +53,11 @@ struct OracleResilienceOptions {
 /// The attacks keep one persistent miter solver; every recorded oracle
 /// pair enters it as a constant-folded key cone
 /// (LockedEncoder::add_io_constraint), so the formula grows slowly across
-/// iterations and learnt clauses carry from DIP to DIP. For fixed options
+/// iterations and learnt clauses carry from DIP to DIP. Every oracle access
+/// is an Oracle::query_batch flush: a DIP round ships its DIPs with all
+/// their majority-vote replicas as one flush (one round trip over a served
+/// oracle), and so do AppSAT's sampling rounds, the quarantine re-query set
+/// and each 16-sample chunk of the degraded measurement. For fixed options
 /// the result is bit-identical at any thread count.
 struct SatAttackOptions {
   std::int64_t max_iterations = 4096;
@@ -64,15 +68,6 @@ struct SatAttackOptions {
   /// bit-identity contract only when it actually fires.
   std::int64_t deadline_ms = -1;
   OracleResilienceOptions resilience;
-  /// Attack-side oracle batching: ship all majority-vote replicas of a
-  /// logical query, the quarantine re-query set, and the degraded
-  /// measurement samples as Oracle::query_batch flushes (one round trip
-  /// each over a served oracle) instead of serial queries. Byte-identical
-  /// to serial execution as long as no retryable oracle error fires
-  /// mid-batch (then the retry completion order differs — results stay
-  /// deterministic for a fixed setting, and the default OFF preserves the
-  /// serial trajectory exactly).
-  bool oracle_batch = false;
   /// k-DIP harvesting: enumerate up to this many DIPs per solver round —
   /// each splitting the candidate key pair on an input where the earlier
   /// ones of the round did not — and ship them as one oracle batch before
@@ -86,7 +81,8 @@ struct SatAttackOptions {
 
 struct SatAttackResult {
   enum class Status {
-    kKeyFound,           // DIP loop converged to a consistent key
+    kKeyFound,           // DIP space empty: the key is consistent with
+                         // every observed I/O pair
     kIterationLimit,     // budget exhausted
     kSolverBudget,       // a SAT call aborted on its conflict budget or
                          // the attack's wall-clock deadline
@@ -99,9 +95,12 @@ struct SatAttackResult {
                          // response error
     kOracleError,        // a query failed terminally (exhausted budget /
                          // unretried transient) before the attack settled
+    kApproximateKey,     // AppSAT settled on `key` after settle_rounds clean
+                         // sampling rounds while DIPs remained: it matched
+                         // the oracle on every sample, but is not proven
   };
   Status status = Status::kIterationLimit;
-  BitVec key;                 // valid when kKeyFound or kDegraded
+  BitVec key;  // valid when kKeyFound, kApproximateKey or kDegraded
   std::size_t iterations = 0; // DIPs used
   std::size_t oracle_queries = 0;
   double solver_wall_ms = 0.0;  // wall time spent inside SAT solve calls
@@ -127,25 +126,36 @@ struct SatAttackResult {
 
   // Oracle-traffic accounting, read from the outermost oracle layer.
   // Every batch element counts exactly once in oracle_queries /
-  // oracle_retries / vote_queries (same as its serial equivalent);
-  // oracle_round_trips is what the attack actually paid in device round
-  // trips (each serial query is one, each batch flush is one), and
-  // oracle_batches counts the flushes. cache_hits/cache_misses are the
-  // stack's result-cache totals (serve/result_cache.h; 0 without one) —
-  // a hit is served with zero device traffic.
-  std::size_t oracle_batches = 0;
+  // oracle_retries / vote_queries; oracle_round_trips is what the attack
+  // actually paid in device round trips (each flush is one, and so is each
+  // retry of a failed element). cache_hits/cache_misses are the stack's
+  // result-cache totals (serve/result_cache.h; 0 without one) — a hit is
+  // served with zero device traffic.
   std::size_t oracle_round_trips = 0;
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
+
+  /// True when `key` holds a recovered key (exact, approximate or
+  /// degraded).
+  bool has_key() const {
+    return status == Status::kKeyFound || status == Status::kApproximateKey ||
+           status == Status::kDegraded;
+  }
 };
+
+/// Stable snake_case name of a status ("key_found", "approximate_key", ...),
+/// used by every report and JSON record.
+const char* status_slug(SatAttackResult::Status s);
 
 SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
                            const SatAttackOptions& opts = {});
 
 /// AppSAT: interleaves the DIP loop with random-query checks and stops
-/// early when the candidate key's observed error rate drops below
-/// `settle_threshold` over `random_queries` samples — an *approximate*
-/// deobfuscation (effective against point-function schemes like SARLock).
+/// early, with kApproximateKey, once the candidate key matches the oracle on
+/// every one of `random_queries` samples in `settle_rounds` consecutive
+/// rounds — an *approximate* deobfuscation (effective against
+/// point-function schemes like SARLock). A run whose DIP space empties
+/// first ends kKeyFound, as the SAT attack does.
 struct AppSatOptions {
   std::int64_t max_iterations = 1024;
   std::int64_t conflict_budget = -1; // per SAT call; <0 = unlimited
@@ -154,11 +164,8 @@ struct AppSatOptions {
   std::size_t settle_rounds = 2;     // consecutive clean rounds to stop
   std::uint64_t seed = 1;
   std::int64_t deadline_ms = -1;     // as in SatAttackOptions
-  /// As in SatAttackOptions: batches each random-sampling round's
-  /// `random_queries` probes (and all vote replicas) into query_batch
-  /// flushes. AppSAT has no dip_batch — the check_period interleave wants
-  /// one DIP per round.
-  bool oracle_batch = false;
+  /// AppSAT has no dip_batch: the check_period interleave wants one DIP per
+  /// round. Each sampling round is one flush.
   OracleResilienceOptions resilience;
 };
 

@@ -112,12 +112,16 @@ std::uint64_t job_config_hash(const AttackJob& job) {
   hash_u64(&buf, 0);
   hash_u64(&buf, 0);
   hash_u64(&buf, 1);
-  // Batching changes the oracle-traffic trajectory (flush boundaries and,
-  // with dip_batch > 1, which DIPs get asked), so a checkpoint taken at
-  // one setting must not resume at another. The result cache is NOT
-  // hashed: it sits below the fault decorators, so it never changes a
-  // job's trajectory — only its device-traffic counters.
-  hash_u64(&buf, (app ? job.appsat.oracle_batch : job.sat.oracle_batch) ? 1 : 0);
+  // Retired slot: the oracle-batching switch. Every attack batches, and
+  // the slot hashes 0, the switch's old default, so checkpoints written
+  // with it still resume. One whose transcript retried a failed replica
+  // before the rest of its flush does not replay the same inputs; the
+  // replay-divergence guard refuses it.
+  hash_u64(&buf, 0);
+  // dip_batch changes which DIPs get asked, so a checkpoint taken at one
+  // setting must not resume at another. The result cache is NOT hashed:
+  // it sits below the fault decorators, so it never changes a job's
+  // trajectory — only its device-traffic counters.
   hash_u64(&buf, app ? std::uint64_t{1} : job.sat.dip_batch);
   if (app) {
     hash_u64(&buf, job.appsat.check_period);

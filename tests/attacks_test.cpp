@@ -178,12 +178,13 @@ TEST(SatAttack, TrojanedChipLeaksKeyAgain) {
 
 TEST(AppSat, SettlesEarlyOnSarlock) {
   // AppSAT's point: against point-function schemes it terminates with an
-  // approximately-correct key long before the exact attack's 2^k DIPs.
+  // approximately-correct key long before the exact attack's 2^k DIPs —
+  // settled on clean sampling rounds, so reported as approximate.
   const Netlist n = small_circuit(13);
   const LockedCircuit sar = lock_sarlock(n, 12, 14);
   GoldenOracle exact_oracle(sar), app_oracle(sar);
   const SatAttackResult app = appsat_attack(sar, app_oracle);
-  ASSERT_EQ(app.status, SatAttackResult::Status::kKeyFound);
+  ASSERT_EQ(app.status, SatAttackResult::Status::kApproximateKey);
   EXPECT_LT(app.iterations, 256u);  // far below 2^12
   // The approximate key is almost-everywhere correct.
   GoldenOracle verify_oracle(sar);

@@ -1,8 +1,8 @@
 // Batch-aware oracle query engine: Oracle::query_batch must be
 // byte-identical to issuing the same inputs serially in element order —
-// through every fault decorator and any stack of them — and the batched
-// attack paths (--oracle-batch, --dip-batch) must preserve or merely
-// re-route the attack's trajectory without ever changing its verdict.
+// through every fault decorator and any stack of them. The attacks ask
+// every query through query_batch flushes: their trajectory is pinned,
+// and --dip-batch may re-route it without ever changing the verdict.
 // Also covers the cross-job result cache (serve/result_cache.h): hits
 // cost zero device queries, and the cache below a fault layer never
 // changes what the layer produces.
@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "attacks/faulty_oracle.h"
@@ -205,78 +207,163 @@ TEST(Batch, BudgetedOracleChargesOnlyTheFittingPrefix) {
   EXPECT_EQ(golden.query_count(), 4u);
 }
 
-// --- batched attack paths vs serial ---------------------------------------
+// --- attack trajectories ---------------------------------------------------
+
+BitVec bits(const char* s) {
+  BitVec out(std::strlen(s));
+  for (std::size_t i = 0; i < out.size(); ++i) out.set(i, s[i] == '1');
+  return out;
+}
+
+// Every attack-side oracle access is a query_batch flush, and with no
+// retryable error firing the trajectory is the one the serial loop of
+// earlier builds produced: the pinned values below are its values.
+struct Pinned {
+  SatAttackResult::Status status;
+  BitVec key;
+  std::size_t iterations, oracle_queries, vote_queries, evicted_pairs;
+  double oracle_error_rate;
+};
+
+void expect_pinned(const SatAttackResult& got, const Pinned& want,
+                   const std::string& what) {
+  EXPECT_EQ(got.status, want.status) << what;
+  EXPECT_EQ(got.key, want.key) << what;
+  EXPECT_EQ(got.iterations, want.iterations) << what;
+  EXPECT_EQ(got.oracle_queries, want.oracle_queries) << what;
+  EXPECT_EQ(got.vote_queries, want.vote_queries) << what;
+  EXPECT_EQ(got.evicted_pairs, want.evicted_pairs) << what;
+  EXPECT_DOUBLE_EQ(got.oracle_error_rate, want.oracle_error_rate) << what;
+}
+
+const BitVec& multi_dip_key() {
+  static const BitVec key = bits("10011010101001101100010010000000");
+  return key;
+}
+
+TEST(Batch, AttackTrajectoryPinnedAcrossGrid) {
+  // The SAT attack across thread counts and majority votes.
+  const LockedCircuit lc = multi_dip_lock();
+  for (const std::size_t threads : {1, 3}) {
+    for (const std::size_t votes : {1, 3}) {
+      set_parallel_threads(threads);
+      SatAttackOptions opts;
+      opts.resilience.votes = votes;
+      GoldenOracle oracle(lc);
+      const SatAttackResult r = sat_attack(lc, oracle, opts);
+      const std::string what = "threads " + std::to_string(threads) +
+                               " votes " + std::to_string(votes);
+      expect_pinned(r, {SatAttackResult::Status::kKeyFound, multi_dip_key(),
+                        7, 7, 7 * (votes - 1), 0, -1.0},
+                    what);
+      // The vote replicas ride their DIP's flush: one round trip per DIP
+      // round, never one per replica.
+      EXPECT_EQ(r.oracle_round_trips, r.iterations) << what;
+    }
+  }
+  set_parallel_threads(0);
+}
 
 TEST(Batch, AttackBatchedMatchesSerialAcrossGrid) {
-  // With oracle_batch on (dip_batch = 1) and no retryable errors firing,
-  // the attack trajectory is byte-identical to serial execution — across
-  // thread counts and majority votes.
+  // Double-DIP and AppSAT share the SAT attack's DIP loop and flush path;
+  // their trajectories are pinned to the serial loop's values across the
+  // same thread × vote grid. AppSAT samples after every second DIP, so
+  // its sampling round (16 probes, one flush) is on the path.
   const LockedCircuit lc = multi_dip_lock();
-  struct Config {
-    std::size_t threads, votes;
-  };
-  const Config grid[] = {{1, 1}, {3, 1}, {1, 3}, {3, 3}};
-  for (const Config& cfg : grid) {
-    set_parallel_threads(cfg.threads);
-    SatAttackOptions opts;
-    opts.resilience.votes = cfg.votes;
-
-    GoldenOracle serial_oracle(lc);
-    const SatAttackResult want = sat_attack(lc, serial_oracle, opts);
-    ASSERT_EQ(want.status, SatAttackResult::Status::kKeyFound);
-
-    GoldenOracle batched_oracle(lc);
-    opts.oracle_batch = true;
-    const SatAttackResult got = sat_attack(lc, batched_oracle, opts);
-    expect_same_result(got, want);
-    // Vote replicas collapse into one flush per DIP, so the batched run
-    // pays fewer round trips whenever votes > 1.
-    if (cfg.votes > 1)
-      EXPECT_LT(got.oracle_round_trips, want.oracle_round_trips);
+  for (const std::size_t threads : {1, 3}) {
+    for (const std::size_t votes : {1, 3}) {
+      set_parallel_threads(threads);
+      const std::string what = "threads " + std::to_string(threads) +
+                               " votes " + std::to_string(votes);
+      {
+        SatAttackOptions opts;
+        opts.resilience.votes = votes;
+        GoldenOracle oracle(lc);
+        const SatAttackResult r = double_dip_attack(lc, oracle, opts);
+        expect_pinned(r,
+                      {SatAttackResult::Status::kKeyFound,
+                       bits("10011010101000101100010010000000"), 6, 6,
+                       6 * (votes - 1), 0, -1.0},
+                      "double-dip " + what);
+        EXPECT_EQ(r.oracle_round_trips, r.iterations) << "double-dip " << what;
+      }
+      {
+        AppSatOptions opts;
+        opts.check_period = 2;
+        opts.random_queries = 16;
+        opts.resilience.votes = votes;
+        GoldenOracle oracle(lc);
+        const SatAttackResult r = appsat_attack(lc, oracle, opts);
+        expect_pinned(r, {SatAttackResult::Status::kKeyFound, multi_dip_key(),
+                          2, 2 + 16, 18 * (votes - 1), 0, -1.0},
+                      "appsat " + what);
+        // Two DIP rounds plus the one sampling flush.
+        EXPECT_EQ(r.oracle_round_trips, 3u) << "appsat " << what;
+      }
+    }
   }
   set_parallel_threads(0);
 }
 
 TEST(Batch, BatchedNoisyVotedAttackMatchesSerial) {
-  // Same byte-identity with a fault layer actually firing: noise draws
-  // happen per element in batch order, so the voted majority — and the
-  // whole downstream trajectory — matches the serial run bit for bit.
+  // Noise draws happen per element in flush order, so the voted majority
+  // — and the whole downstream trajectory — is pinned too.
   const LockedCircuit lc = multi_dip_lock();
   SatAttackOptions opts;
   opts.resilience.votes = 3;
-
-  GoldenOracle g1(lc);
-  NoisyOracle serial_noisy(g1, 0.01, 0xbadc0ffeULL);
-  const SatAttackResult want = sat_attack(lc, serial_noisy, opts);
-
-  GoldenOracle g2(lc);
-  NoisyOracle batched_noisy(g2, 0.01, 0xbadc0ffeULL);
-  opts.oracle_batch = true;
-  const SatAttackResult got = sat_attack(lc, batched_noisy, opts);
-  expect_same_result(got, want);
+  GoldenOracle golden(lc);
+  NoisyOracle noisy(golden, 0.01, 0xbadc0ffeULL);
+  const SatAttackResult r = sat_attack(lc, noisy, opts);
+  expect_pinned(r,
+                {SatAttackResult::Status::kKeyFound, multi_dip_key(), 7, 7, 14,
+                 0, -1.0},
+                "noisy voted");
+  EXPECT_EQ(r.oracle_round_trips, r.iterations);
 }
 
 TEST(Batch, BatchedDegradedMeasurementMatchesSerial) {
-  // The degraded error-rate measurement loop runs batched in chunks; with
-  // no deadline firing it must produce the same measured rate (and the
-  // same everything else) as the serial loop.
+  // The degraded measurement asks its 48 samples in 16-sample flushes
+  // and measures the same error rate as the serial loop did.
   const LockedCircuit lc = multi_dip_lock();
   SatAttackOptions opts;
   opts.resilience.quarantine = true;
   opts.resilience.max_evictions = 0;
   opts.resilience.degraded_samples = 48;
+  GoldenOracle golden(lc);
+  NoisyOracle noisy(golden, 0.01, 0xbadc0ffeULL);
+  const SatAttackResult r = sat_attack(lc, noisy, opts);
+  expect_pinned(r,
+                {SatAttackResult::Status::kDegraded,
+                 bits("01010110100001101100000100101001"), 2, 50, 0, 0,
+                 297.0 / 768.0},
+                "degraded");
+  EXPECT_EQ(r.oracle_round_trips, 2u + 48u / 16u);
+}
 
-  GoldenOracle g1(lc);
-  NoisyOracle serial_noisy(g1, 0.01, 0xbadc0ffeULL);
-  const SatAttackResult want = sat_attack(lc, serial_noisy, opts);
-  ASSERT_EQ(want.status, SatAttackResult::Status::kDegraded);
-
-  GoldenOracle g2(lc);
-  NoisyOracle batched_noisy(g2, 0.01, 0xbadc0ffeULL);
-  opts.oracle_batch = true;
-  const SatAttackResult got = sat_attack(lc, batched_noisy, opts);
-  expect_same_result(got, want);
-  EXPECT_DOUBLE_EQ(got.oracle_error_rate, want.oracle_error_rate);
+TEST(Batch, DefaultsOffChangeNothing) {
+  // The default options (dip_batch 1, one vote, no cache) reproduce the
+  // historical trajectory, and each DIP costs exactly one round trip.
+  const Netlist n = small_circuit(70);
+  const LockedCircuit lc = lock_weighted(n, 12, 3, 71);
+  SatAttackResult a, b;
+  {
+    GoldenOracle oracle(lc);
+    a = sat_attack(lc, oracle);
+  }
+  {
+    GoldenOracle oracle(lc);
+    SatAttackOptions opts;
+    EXPECT_EQ(opts.dip_batch, 1u);
+    EXPECT_EQ(opts.resilience.votes, 1u);
+    b = sat_attack(lc, oracle, opts);
+  }
+  expect_same_result(a, b);
+  expect_pinned(b, {SatAttackResult::Status::kKeyFound, bits("111000110010"),
+                    3, 3, 0, 0, -1.0},
+                "defaults");
+  EXPECT_EQ(b.oracle_round_trips, b.oracle_queries);
+  EXPECT_EQ(b.cache_hits, 0u);
+  EXPECT_EQ(b.cache_misses, 0u);
 }
 
 TEST(Batch, DipBatchRecoversSameKeyWithFewerRoundTrips) {
@@ -289,7 +376,6 @@ TEST(Batch, DipBatchRecoversSameKeyWithFewerRoundTrips) {
   {
     GoldenOracle oracle(lc);
     SatAttackOptions opts;
-    opts.oracle_batch = true;
     base = sat_attack(lc, oracle, opts);
     ASSERT_EQ(base.status, SatAttackResult::Status::kKeyFound);
     EXPECT_EQ(verify_key_against_oracle(lc, base.key, verify, 128, 5), 0u);
@@ -298,7 +384,6 @@ TEST(Batch, DipBatchRecoversSameKeyWithFewerRoundTrips) {
   for (const std::size_t dip : {std::size_t{2}, std::size_t{8}}) {
     GoldenOracle oracle(lc);
     SatAttackOptions opts;
-    opts.oracle_batch = true;
     opts.dip_batch = dip;
     const SatAttackResult r = sat_attack(lc, oracle, opts);
     ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound) << "dip " << dip;
@@ -315,7 +400,6 @@ TEST(Batch, DipBatchHonorsIterationLimit) {
   const LockedCircuit lc = multi_dip_lock();
   GoldenOracle oracle(lc);
   SatAttackOptions opts;
-  opts.oracle_batch = true;
   opts.dip_batch = 8;
   opts.max_iterations = 3;
   const SatAttackResult r = sat_attack(lc, oracle, opts);
@@ -331,7 +415,6 @@ TEST(Batch, DipBatchSplitsDistinctWrongKeysOnSarlock) {
   const LockedCircuit lc = lock_sarlock(small_circuit(90), 6, 91);
   GoldenOracle oracle(lc);
   SatAttackOptions opts;
-  opts.oracle_batch = true;
   opts.dip_batch = 8;
   const SatAttackResult r = sat_attack(lc, oracle, opts);
   ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound);
@@ -339,31 +422,6 @@ TEST(Batch, DipBatchSplitsDistinctWrongKeysOnSarlock) {
   EXPECT_EQ(r.key, lc.correct_key);
   EXPECT_EQ(r.iterations, (std::size_t{1} << 6) - 1);
   EXPECT_LE(r.oracle_round_trips, 9u);
-}
-
-TEST(Batch, DefaultsOffChangeNothing) {
-  // oracle_batch=false, dip_batch=1 must reproduce the historical
-  // trajectory exactly (and keep the new counters at their serial
-  // meaning: one round trip per query, zero batches).
-  const Netlist n = small_circuit(70);
-  const LockedCircuit lc = lock_weighted(n, 12, 3, 71);
-  SatAttackResult a, b;
-  {
-    GoldenOracle oracle(lc);
-    a = sat_attack(lc, oracle);
-  }
-  {
-    GoldenOracle oracle(lc);
-    SatAttackOptions opts;
-    EXPECT_FALSE(opts.oracle_batch);
-    EXPECT_EQ(opts.dip_batch, 1u);
-    b = sat_attack(lc, oracle, opts);
-  }
-  expect_same_result(a, b);
-  EXPECT_EQ(b.oracle_batches, 0u);
-  EXPECT_EQ(b.oracle_round_trips, b.oracle_queries);
-  EXPECT_EQ(b.cache_hits, 0u);
-  EXPECT_EQ(b.cache_misses, 0u);
 }
 
 // --- result cache ----------------------------------------------------------

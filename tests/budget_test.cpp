@@ -188,16 +188,16 @@ TEST(Budget, DeadlineInQuarantineRepairSurfacesAsSolverBudget) {
     ASSERT_EQ(r.status, SatAttackResult::Status::kDegraded);
   }
 
-  // Deadline run: 500 us per query makes the post-DIP oracle loops (512
-  // measurement samples alone are ~256 ms of injected latency) dwarf the
-  // 60 ms deadline, so expiry lands in an oracle loop on any machine fast
-  // enough to finish the DIP phase first — and on one that is not, the
-  // existing DIP-loop check fires instead. Either way the only correct
-  // verdict is kSolverBudget.
+  // Deadline run: 5 ms per flush makes the post-DIP oracle loops (the 512
+  // measurement samples alone are 32 flushes of 16, ~160 ms of injected
+  // latency) dwarf the 60 ms deadline, so expiry lands in an oracle loop
+  // on any machine fast enough to finish the DIP phase first — and on one
+  // that is not, the existing DIP-loop check fires instead. Either way the
+  // only correct verdict is kSolverBudget.
   opts.deadline_ms = 60;
   GoldenOracle golden(lc);
   NoisyOracle noisy(golden, 0.1, 0x5eedULL);
-  LatentOracle slow(noisy, /*latency_us=*/500);
+  LatentOracle slow(noisy, /*latency_us=*/5000);
   const SatAttackResult r = sat_attack(lc, slow, opts);
   EXPECT_EQ(r.status, SatAttackResult::Status::kSolverBudget);
 }

@@ -65,6 +65,11 @@ expect_exit 2 "unexpected argument '0'" "$ORAP" attack "$TMP/l.bench" \
 expect_exit 1 "" "$ORAP" attack "$TMP/s.bench" --key "$TMP/sk.txt" \
   --kind appsat --max-iter 3
 expect_stdout "iteration limit after 3 DIPs"
+# An AppSAT key that settled on clean sampling rounds is approximate, not
+# found: on an 8-bit SARLock it still misses the flipped input.
+expect_exit 1 "" "$ORAP" attack "$TMP/s.bench" --key "$TMP/sk.txt" \
+  --kind appsat
+expect_stdout "appsat attack: approximate key after"
 
 # Unknown or retired flags.
 expect_exit 2 "--portfolio" "$ORAP" solve "$TMP/x.cnf" --portfolio 4
@@ -78,6 +83,10 @@ expect_exit 2 "--preprocess" "$ORAP" attack "$TMP/l.bench" \
   --key "$TMP/k.txt" --preprocess
 expect_exit 2 "--preprocess" "$BENCH" --preprocess=1
 expect_exit 2 "--incremental" "$BENCH" --incremental
+expect_exit 2 "--oracle-batch" "$ORAP" attack "$TMP/l.bench" \
+  --key "$TMP/k.txt" --oracle-batch
+expect_exit 2 "--oracle-batch" "$ORAP" attack-serve --jobs 1 \
+  --oracle-batch=1
 
 # Non-numeric values for numeric flags.
 expect_exit 2 "--budget" "$ORAP" solve "$TMP/x.cnf" --budget abc

@@ -736,10 +736,10 @@ TEST(Checkpoint, JobServerResumesFreshCheckpointByteIdentical) {
 TEST(Checkpoint, ConfigHashKeepsFoldedNoCubeSlots) {
   // The attacks run one solver, always constant-fold and never cube-split
   // or preprocess; the config hash pins those four retired option slots at
-  // solver instances = 1 / fold = 1 / cube = 0 / preprocess = 0. These are
-  // the hashes of the same jobs written in that configuration, so such
-  // checkpoints still resume; every other setting of the slots is refused
-  // as a config mismatch.
+  // solver instances = 1 / fold = 1 / cube = 0 / preprocess = 0, and the
+  // retired oracle-batching slot at 0. These are the hashes of the same
+  // jobs written in that configuration, so such checkpoints still resume;
+  // every other setting of the slots is refused as a config mismatch.
   const LockedCircuit lc = multi_dip_lock();
   serve::AttackJob sat;
   sat.circuit = &lc;
@@ -750,13 +750,12 @@ TEST(Checkpoint, ConfigHashKeepsFoldedNoCubeSlots) {
 }
 
 TEST(Serve, BatchedSatAttackOverTransportMatchesLocal) {
-  // End-to-end batch parity: the batched attack (--oracle-batch with
-  // dip-batch harvesting and votes) over the wire protocol must land the
-  // identical result the same attack produces in-process, while paying
-  // one round trip per flush rather than per query.
+  // End-to-end batch parity: the attack (dip-batch harvesting and votes)
+  // over the wire protocol must land the identical result the same attack
+  // produces in-process, while paying one round trip per flush rather
+  // than per query.
   const LockedCircuit lc = multi_dip_lock();
   SatAttackOptions opts;
-  opts.oracle_batch = true;
   opts.dip_batch = 4;
   opts.resilience.votes = 3;
 
@@ -795,7 +794,6 @@ TEST(Checkpoint, KillMidBatchResumesByteIdentical) {
   // resumed batched attack must still finish byte-identical.
   const LockedCircuit lc = multi_dip_lock();
   SatAttackOptions opts;
-  opts.oracle_batch = true;
   opts.dip_batch = 4;
   opts.resilience.votes = 3;
 

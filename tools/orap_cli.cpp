@@ -145,19 +145,6 @@ LockedCircuit load_locked(const std::string& path,
   return lc;
 }
 
-const char* attack_status_slug(SatAttackResult::Status s) {
-  switch (s) {
-    case SatAttackResult::Status::kKeyFound: return "key_found";
-    case SatAttackResult::Status::kIterationLimit: return "iteration_limit";
-    case SatAttackResult::Status::kSolverBudget: return "solver_budget";
-    case SatAttackResult::Status::kInconsistentOracle:
-      return "inconsistent_oracle";
-    case SatAttackResult::Status::kDegraded: return "degraded";
-    case SatAttackResult::Status::kOracleError: return "oracle_error";
-  }
-  return "?";
-}
-
 /// Cheap fingerprint of the attack configuration for `attack --checkpoint`:
 /// enough to stop a checkpoint from resuming a visibly different run (the
 /// replay divergence guard backstops the rest).
@@ -170,9 +157,11 @@ std::uint64_t cli_checkpoint_hash(const Args& a, const LockedCircuit& lc) {
   bytes::put_u64(&buf, a.count("budget", 0));
   bytes::put_u64(&buf, a.on("quarantine") ? 1 : 0);
   bytes::put_u64(&buf, a.count("oracle-votes", 1));
-  // Batching changes the oracle-traffic trajectory, so a checkpoint taken
-  // at one setting must not resume at another.
-  bytes::put_u64(&buf, a.on("oracle-batch") ? 1 : 0);
+  // Retired slot: the oracle-batching switch, pinned at 0, its old
+  // default, so checkpoints written with it still resume.
+  bytes::put_u64(&buf, 0);
+  // dip-batch changes which DIPs get asked, so a checkpoint taken at one
+  // setting must not resume at another.
   bytes::put_u64(&buf, a.count("dip-batch", 1));
   const std::uint32_t lo = bytes::crc32(buf.data(), buf.size());
   const std::uint32_t hi = bytes::crc32(buf.data(), buf.size(), 0x5bd1e995u);
@@ -490,7 +479,6 @@ int cmd_attack(const Args& a) {
     opts.resilience.retries = a.count("oracle-retries", 0);
     opts.resilience.votes = a.count("oracle-votes", 1);
     opts.resilience.quarantine = a.on("quarantine");
-    opts.oracle_batch = a.on("oracle-batch");
     opts.dip_batch = a.count("dip-batch", 1);
     SatAttackResult r;
     if (kind == "sat")
@@ -502,7 +490,6 @@ int cmd_attack(const Args& a) {
       if (a.has("max-iter")) app_opts.max_iterations = opts.max_iterations;
       app_opts.conflict_budget = opts.conflict_budget;
       app_opts.deadline_ms = opts.deadline_ms;
-      app_opts.oracle_batch = opts.oracle_batch;
       app_opts.resilience = opts.resilience;
       r = appsat_attack(lc, oracle, app_opts);
     }
@@ -524,12 +511,12 @@ int cmd_attack(const Args& a) {
       case SatAttackResult::Status::kInconsistentOracle: status = "oracle inconsistent"; break;
       case SatAttackResult::Status::kDegraded: status = "degraded (approximate key)"; break;
       case SatAttackResult::Status::kOracleError: status = "oracle error"; break;
+      case SatAttackResult::Status::kApproximateKey: status = "approximate key"; break;
     }
     std::printf("%s attack: %s after %zu DIPs, %zu oracle queries\n",
                 kind.c_str(), status, r.iterations, r.oracle_queries);
     // Scripts (tools/ci.sh) parse this line to compare traffic shapes.
-    std::printf("oracle traffic: %zu round trips in %zu batches\n",
-                r.oracle_round_trips, r.oracle_batches);
+    std::printf("oracle traffic: %zu round trips\n", r.oracle_round_trips);
     if (remote_holder && reconnect_budget > 0)
       std::printf("self-healing: %llu recoveries, %llu retransmits, "
                   "%llu state re-syncs\n",
@@ -549,9 +536,7 @@ int cmd_attack(const Args& a) {
                 static_cast<unsigned long long>(r.solve_calls),
                 static_cast<unsigned long long>(r.clauses_carried),
                 static_cast<unsigned long long>(r.encode_reused));
-    if (r.status != SatAttackResult::Status::kKeyFound &&
-        r.status != SatAttackResult::Status::kDegraded)
-      return 1;
+    if (!r.has_key()) return 1;
     recovered = r.key;
   } else if (kind == "hillclimb") {
     const HillClimbResult r = hill_climb_attack(lc, oracle);
@@ -692,7 +677,7 @@ int cmd_attack_serve(const Args& a) {
                          "       [--oracle-noise P] [--oracle-fail-rate P] "
                          "[--oracle-retries N] [--quarantine] "
                          "[--latency-us N]\n"
-                         "       [--oracle-batch] [--dip-batch K] "
+                         "       [--dip-batch K] "
                          "[--result-cache] [--shared-circuit]\n"
                          "       [--checkpoint-dir D] [--checkpoint-every "
                          "K] [--json out.json]\n"
@@ -739,11 +724,9 @@ int cmd_attack_serve(const Args& a) {
     job.sat.resilience.retries = a.count("oracle-retries", 0);
     job.sat.resilience.votes = a.count("oracle-votes", 1);
     job.sat.resilience.quarantine = a.on("quarantine");
-    job.sat.oracle_batch = a.on("oracle-batch");
     job.sat.dip_batch = a.count("dip-batch", 1);
     if (a.has("max-iter")) job.appsat.max_iterations = job.sat.max_iterations;
     job.appsat.resilience = job.sat.resilience;
-    job.appsat.oracle_batch = job.sat.oracle_batch;
     job.oracle.noise_rate = a.rate("oracle-noise", 0.0);
     job.oracle.noise_seed = a.count("fault-seed", 7) + i;
     job.oracle.drop_rate = a.rate("oracle-fail-rate", 0.0);
@@ -802,11 +785,9 @@ int cmd_attack_serve(const Args& a) {
     }
     cache_hits += r.result.cache_hits;
     cache_misses += r.result.cache_misses;
-    const bool ok = r.result.status == SatAttackResult::Status::kKeyFound ||
-                    r.result.status == SatAttackResult::Status::kDegraded;
-    succeeded += ok ? 1 : 0;
+    succeeded += r.result.has_key() ? 1 : 0;
     std::printf("%s: %s, %zu DIPs, %zu queries, %zu round trips%s%s\n",
-                r.id.c_str(), attack_status_slug(r.result.status),
+                r.id.c_str(), status_slug(r.result.status),
                 r.result.iterations, r.result.oracle_queries,
                 r.result.oracle_round_trips,
                 r.resumed ? ", resumed" : "",
@@ -845,21 +826,19 @@ int cmd_attack_serve(const Args& a) {
         continue;
       }
       std::string key_str;
-      if (r.result.status == SatAttackResult::Status::kKeyFound ||
-          r.result.status == SatAttackResult::Status::kDegraded) {
+      if (r.result.has_key()) {
         key_str = key_to_string(r.result.key);
         key_str.pop_back();  // trailing newline
       }
-      // round_trips/batches are deterministic per config (replayed
-      // queries count the same as live ones), so they byte-compare across
+      // round_trips is deterministic per config (replayed queries count
+      // the same as live ones), so it byte-compares across
       // kill-and-resume; cache hit/miss counts depend on job scheduling
       // and therefore live OUTSIDE this object.
       os << "    \"" << r.id << "\": {\"status\": \""
-         << attack_status_slug(r.result.status)
+         << status_slug(r.result.status)
          << "\", \"iterations\": " << r.result.iterations
          << ", \"oracle_queries\": " << r.result.oracle_queries
          << ", \"round_trips\": " << r.result.oracle_round_trips
-         << ", \"batches\": " << r.result.oracle_batches
          << ", \"retries\": " << r.result.oracle_retries
          << ", \"evicted_pairs\": " << r.result.evicted_pairs
          << ", \"requeried_pairs\": " << r.result.requeried_pairs
@@ -1001,7 +980,7 @@ void usage() {
       "[--max-iter N] [--budget B] [--deadline-ms T]\n"
       "               [--oracle-noise P] [--oracle-fail-rate P] "
       "[--oracle-retries N] [--oracle-votes N] [--quarantine] "
-      "[--oracle-batch] [--dip-batch K]\n"
+      "[--dip-batch K]\n"
       "               [--connect host:port | --oracle-cmd \"...\"] "
       "[--checkpoint file.ckpt [--checkpoint-every K]]\n"
       "               [--connect-timeout-ms T] [--reconnect N "
@@ -1015,7 +994,7 @@ void usage() {
       "[--oracle-noise P] [--oracle-fail-rate P] [--oracle-stick-rate P] "
       "[--oracle-max-queries N]\n"
       "  orap attack-serve --jobs N [--kind sat|appsat|doubledip] "
-      "[--key-bits K] [--oracle-batch] [--dip-batch K] [--result-cache] "
+      "[--key-bits K] [--dip-batch K] [--result-cache] "
       "[--shared-circuit] [--checkpoint-dir D] [--checkpoint-every K] "
       "[--json out.json] [--job-retries N] [--job-retry-backoff-ms B]\n"
       "  orap protect <locked.bench> --key key.txt [--variant "
@@ -1027,7 +1006,7 @@ void usage() {
       "Global: --threads N sets the parallel pool size (0 = auto; also "
       "settable via ORAP_THREADS). Every subcommand rejects flags it does "
       "not read,\nand every malformed or out-of-range value, with exit 2. "
-      "A switch (--quarantine,\n--oracle-batch, --stdio, ...) is --x or "
+      "A switch (--quarantine,\n--stdio, --once, ...) is --x or "
       "--x=0|1 and never takes the next argument;\nevery other flag takes "
       "--x=v or --x v. The oracle-guided attacks keep one\npersistent miter "
       "solver and constant-fold every oracle constraint.\nResults are "
@@ -1068,12 +1047,13 @@ void usage() {
       "--job-retry-backoff-ms\nbackoff before containing it as "
       "\"failed\".\n"
       "\n"
-      "Oracle batching (attack / attack-serve): --oracle-batch ships vote "
-      "replicas,\nquarantine re-queries, and measurement samples as "
-      "query_batch flushes — one wire\nround trip each over a served "
-      "oracle. --dip-batch K harvests up to K distinct DIPs\nper solver "
-      "round via blocking clauses and asks them in one batch (sat / "
-      "doubledip).\n--result-cache (attack-serve) shares an input->response "
+      "Oracle batching (attack / attack-serve): every oracle access is a "
+      "query_batch flush —\none wire round trip over a served oracle per "
+      "DIP round with its vote replicas, per\nAppSAT sampling round, per "
+      "quarantine re-query set and per 16 degraded-measurement\nsamples. "
+      "--dip-batch K harvests up to K distinct DIPs per solver round via "
+      "blocking\nclauses and asks them in one flush (sat / doubledip).\n"
+      "--result-cache (attack-serve) shares an input->response "
       "cache between jobs attacking\nthe same chip (see --shared-circuit); "
       "cached responses cost zero device queries and\nnever change a job's "
       "result.");
@@ -1114,7 +1094,7 @@ const Command kCommands[] = {
       count("max-iter"), count("budget"), count("deadline-ms"),
       rate("oracle-noise"), rate("oracle-fail-rate"), count("fault-seed"),
       count("oracle-retries"), count("oracle-votes"), on_off("quarantine"),
-      on_off("oracle-batch"), count("dip-batch"), text("connect"),
+      count("dip-batch"), text("connect"),
       text("oracle-cmd"), count("io-timeout-ms"),
       count("connect-timeout-ms"), text("checkpoint"),
       count("checkpoint-every"), count("reconnect"),
@@ -1134,7 +1114,7 @@ const Command kCommands[] = {
       count("seed"), count("inputs"), count("outputs"), count("gates"),
       count("depth"), count("max-iter"), on_off("shared-circuit"),
       count("oracle-retries"), count("oracle-votes"), on_off("quarantine"),
-      on_off("oracle-batch"), count("dip-batch"), rate("oracle-noise"),
+      count("dip-batch"), rate("oracle-noise"),
       rate("oracle-fail-rate"), count("fault-seed"), count("latency-us"),
       text("checkpoint-dir"), count("checkpoint-every"),
       on_off("result-cache"), count("job-retries"),
